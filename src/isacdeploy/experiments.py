@@ -20,12 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .correlation import build_codebook, distance_weights, max_weighted_correlation, pearson
+from .correlation import build_codebook, max_weighted_correlation, pearson
 from .ga import decode_chromosome, run_ga
 from .geometry import (
     Deployment,
     Scenario,
-    coverage_grid,
     deployment_violations,
     midpoint_baseline,
     random_deployment,
@@ -77,14 +76,8 @@ class ResultBundle:
     checks: dict[str, bool]
 
 
-def _grid_tools(scenario: Scenario):
-    grid = coverage_grid(scenario.region_center, scenario.region_radius, scenario.grid_resolution)
-    return grid, distance_weights(grid, scenario.alpha)
-
-
-def _max_rho(deployment, scenario, grid=None, weights=None) -> float:
-    report = max_weighted_correlation(build_codebook(deployment, scenario, grid=grid, weights=weights))
-    return report.max_value
+def _max_rho(deployment, scenario) -> float:
+    return max_weighted_correlation(build_codebook(deployment, scenario)).max_value
 
 
 def _max_rmse(deployment, scenario, settings, threads: int) -> float:
@@ -155,7 +148,6 @@ def run_montecarlo(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
     three-node scenarios, where that deployment is defined.
     """
     scenario, settings = config.scenario, config.experiment
-    grid, weights = _grid_tools(scenario)
     entries: list[tuple[str, Deployment]] = []
     optimized = decode_chromosome(_optimize(config, threads).best)
     entries.append(("optimized", optimized))
@@ -171,7 +163,7 @@ def run_montecarlo(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
     rho_by_id = {}
     rmse_by_id = {}
     for name, deployment in entries:
-        rho = _max_rho(deployment, scenario, grid=grid, weights=weights)
+        rho = _max_rho(deployment, scenario)
         rmse = _max_rmse(deployment, scenario, settings, threads) if settings.music else float("nan")
         rho_by_id[name] = rho
         rmse_by_id[name] = rmse
@@ -218,12 +210,11 @@ def run_alpha_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBund
     scenario, settings = config.scenario, config.experiment
     ensemble = _random_ensemble(scenario, settings)
     rmses = [_max_rmse(dep, scenario, settings, threads) for dep in ensemble]
-    grid = coverage_grid(scenario.region_center, scenario.region_radius, scenario.grid_resolution)
     rows = []
     gamma_by_alpha = {}
     for alpha in settings.alpha_values:
-        weights = distance_weights(grid, alpha)
-        rhos = [_max_rho(dep, scenario, grid=grid, weights=weights) for dep in ensemble]
+        at_alpha = replace(scenario, alpha=alpha)
+        rhos = [_max_rho(dep, at_alpha) for dep in ensemble]
         gamma = pearson(rhos, rmses)
         gamma_by_alpha[alpha] = gamma
         rows.append((alpha, gamma))
@@ -311,7 +302,6 @@ def run_node_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
     ordering is statistical, not guaranteed per seed.
     """
     scenario, settings = config.scenario, config.experiment
-    grid, weights = _grid_tools(scenario)
     rows = []
     mean_rho = []
     optimized_leq_best = []
@@ -323,7 +313,7 @@ def run_node_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
         optimized = decode_chromosome(result.best)
         deployments_out[f"optimized-j{node_count}"] = optimized
         ensemble = _random_ensemble(at_count, settings, node_count)
-        rho_values = [_max_rho(dep, at_count, grid=grid, weights=weights) for dep in ensemble]
+        rho_values = [_max_rho(dep, at_count) for dep in ensemble]
         rows.append((node_count, "optimized", "max_rho", result.best_fitness))
         rows.append((node_count, "best", "max_rho", min(rho_values)))
         rows.append((node_count, "worst", "max_rho", max(rho_values)))

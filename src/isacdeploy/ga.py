@@ -17,16 +17,17 @@ block, then per child one mutation gate block and one mutation u block.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import build_codebook, distance_weights, max_weighted_correlation
+from .correlation import build_codebook, max_weighted_correlation
 from .geometry import (
     TWO_PI,
+    DegenerateGeometryError,
     Deployment,
     Scenario,
-    coverage_grid,
     random_deployment,
     wrap_angle,
 )
@@ -159,16 +160,19 @@ def project_feasible(genes, scenario: Scenario) -> np.ndarray:
     return out
 
 
-def fitness(chromosome, scenario: Scenario, *, grid=None, weights=None) -> float:
+def fitness(chromosome, scenario: Scenario) -> float:
     """Deployment quality: the worst weighted steering correlation over all
-    grid pairs (lower is better). `grid`/`weights` may be precomputed once
-    per scenario and shared across many evaluations."""
+    grid pairs (lower is better). A chromosome that puts an antenna element
+    on a grid point scores +inf, so one degenerate child cannot abort a run."""
     genes = np.asarray(chromosome, dtype=float)
     if genes.size != 3 * scenario.node_count:
         raise ValueError(
             f"chromosome has {genes.size} genes, scenario expects {3 * scenario.node_count}"
         )
-    codebook = build_codebook(decode_chromosome(genes), scenario, grid=grid, weights=weights)
+    try:
+        codebook = build_codebook(decode_chromosome(genes), scenario)
+    except DegenerateGeometryError:
+        return float("inf")
     return max_weighted_correlation(codebook).max_value
 
 
@@ -250,24 +254,22 @@ def run_ga(
     polynomial mutation + feasibility projection, plus the N_e best incumbents
     carried over with cached fitness. The best-fitness trace has one entry per
     generation plus the initial population, and is non-increasing by elitism.
-    Only fitness evaluation is parallelized (`threads`), so results depend
-    only on the seed.
+    Only fitness evaluation is parallelized (`threads`, one executor for the
+    whole run), so results depend only on the seed.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as executor:
+        return _evolve(scenario, params, rng, executor)
+
+
+def _evolve(scenario: Scenario, params: GaParams, rng: np.random.Generator, executor) -> GaResult:
+    """The generation loop of `run_ga`; `executor` is None for serial evaluation."""
     bounds = deployment_bounds(scenario)
-    grid = coverage_grid(scenario.region_center, scenario.region_radius, scenario.grid_resolution)
-    weights = distance_weights(grid, scenario.alpha)
 
     def evaluate_all(pool: list[np.ndarray]) -> np.ndarray:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as executor:
-                values = list(
-                    executor.map(lambda g: fitness(g, scenario, grid=grid, weights=weights), pool)
-                )
-        else:
-            values = [fitness(g, scenario, grid=grid, weights=weights) for g in pool]
-        return np.asarray(values, dtype=float)
+        evaluate = map if executor is None else executor.map
+        return np.asarray(list(evaluate(lambda g: fitness(g, scenario), pool)), dtype=float)
 
     population = [
         encode_deployment(random_deployment(scenario, rng)) for _ in range(params.population_size)

@@ -19,7 +19,6 @@ from isacdeploy.cli import main
 from isacdeploy.config import ExperimentSettings, deployment_to_dict
 from isacdeploy.correlation import (
     build_codebook,
-    distance_weights,
     frobenius_separability,
     max_weighted_correlation,
     overlap_decompose,
@@ -101,10 +100,9 @@ def random_ensemble(scenario):
 
 
 @pytest.fixture(scope="module")
-def ensemble_rho(scenario, grid, random_ensemble):
-    weights = distance_weights(grid, scenario.alpha)
+def ensemble_rho(scenario, random_ensemble):
     return [
-        max_weighted_correlation(build_codebook(d, scenario, grid=grid, weights=weights)).max_value
+        max_weighted_correlation(build_codebook(d, scenario)).max_value
         for d in random_ensemble
     ]
 
@@ -191,7 +189,7 @@ def test_criterion_05_noiseless_localization_is_exact(scenario, grid):
     rng = derived_rng(SEED, 14)
     hits = 0
     for _ in range(50):
-        codebook = build_codebook(random_deployment(scenario, rng), scenario, grid=grid)
+        codebook = build_codebook(random_deployment(scenario, rng), scenario)
         target = int(rng.integers(0, len(grid)))
         snapshots = generate_snapshots(
             codebook.steering[:, target], PowerLevels(1.0, 0.0), 8, rng
@@ -241,10 +239,9 @@ def test_criterion_07_reference_scale_convergence(ga_result):
 
 
 def test_criterion_08_deployment_ordering(
-    scenario, grid, ga_result, optimized, midpoint, random_ensemble, ensemble_rho, ensemble_rmse
+    scenario, ga_result, optimized, midpoint, random_ensemble, ensemble_rho, ensemble_rmse
 ):
-    weights = distance_weights(grid, scenario.alpha)
-    midpoint_rho = fitness(encode_deployment(midpoint), scenario, grid=grid, weights=weights)
+    midpoint_rho = fitness(encode_deployment(midpoint), scenario)
     assert ga_result.best_fitness < min(ensemble_rho)
     assert ga_result.best_fitness < midpoint_rho
 
@@ -255,14 +252,12 @@ def test_criterion_08_deployment_ordering(
     assert beaten >= 0.9 * ENSEMBLE_SIZE
 
 
-def test_criterion_09_alpha_correlation_is_positive(scenario, grid, random_ensemble, ensemble_rmse):
+def test_criterion_09_alpha_correlation_is_positive(scenario, random_ensemble, ensemble_rmse):
     gammas = {}
     for alpha in (0.01, 0.05, 0.1, 0.2):
-        weights = distance_weights(grid, alpha)
+        at_alpha = replace(scenario, alpha=alpha)
         rhos = [
-            max_weighted_correlation(
-                build_codebook(d, scenario, grid=grid, weights=weights)
-            ).max_value
+            max_weighted_correlation(build_codebook(d, at_alpha)).max_value
             for d in random_ensemble
         ]
         gammas[alpha] = pearson(rhos, ensemble_rmse)
@@ -358,8 +353,7 @@ def test_criterion_10_low_snr_advantage(scenario, optimized, midpoint):
     )
 
 
-def test_criterion_11_node_count_trend(scenario, grid):
-    weights = distance_weights(grid, scenario.alpha)
+def test_criterion_11_node_count_trend(scenario):
     mean_rho = []
     for node_count in (2, 3, 4, 5):
         at_count = replace(scenario, node_count=node_count)
@@ -367,10 +361,7 @@ def test_criterion_11_node_count_trend(scenario, grid):
         ensemble = [
             max_weighted_correlation(
                 build_codebook(
-                    random_deployment(at_count, derived_rng(SEED, 1, node_count, k)),
-                    at_count,
-                    grid=grid,
-                    weights=weights,
+                    random_deployment(at_count, derived_rng(SEED, 1, node_count, k)), at_count
                 )
             ).max_value
             for k in range(ENSEMBLE_SIZE)

@@ -6,11 +6,14 @@ against explicit outer-product matrices.
 """
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from isacdeploy.correlation import (
+    BLOCK_ROWS,
     CorrelationReport,
     GridCodebook,
     UndefinedCorrelationError,
@@ -27,8 +30,10 @@ from isacdeploy.geometry import (
     Deployment,
     NodePose,
     Scenario,
+    coverage_grid,
     deployment_layout,
     random_deployment,
+    steering_matrix,
     steering_vector,
 )
 
@@ -93,13 +98,16 @@ class TestCodebook:
         j = next(k for k, p in enumerate(book.grid) if tuple(p) == (3.0, 0.0))
         assert book.distance_weights[i, j] == 1.0837983867343681  # 5**0.05
 
-    def test_shared_grid_and_weights_reused(self, small_scenario):
-        dep = random_deployment(small_scenario, np.random.default_rng(4))
-        base = build_codebook(dep, small_scenario)
-        again = build_codebook(dep, small_scenario, grid=base.grid, weights=base.distance_weights)
+    def test_codebooks_of_one_grid_share_read_only_weights(self, small_scenario):
+        base = build_codebook(random_deployment(small_scenario, np.random.default_rng(4)), small_scenario)
+        other = replace(small_scenario, node_count=4, snr_db=20.0)
+        again = build_codebook(random_deployment(other, np.random.default_rng(5)), other)
         assert again.grid is base.grid
         assert again.distance_weights is base.distance_weights
-        assert np.array_equal(again.steering, base.steering)
+        assert not base.grid.flags.writeable
+        assert not base.distance_weights.flags.writeable
+        with pytest.raises(ValueError):
+            base.distance_weights[0, 1] = 0.0
 
     def test_rejects_grid_point_on_antenna(self):
         s = Scenario(region_radius=3.0, element_spacing=1.0)
@@ -211,6 +219,60 @@ class TestMaxWeightedCorrelation:
         mirror = np.abs(np.vdot(book.steering[:, bot], book.steering[:, top]))
         assert mirror > 1.0 - 1e-12
 
+    @pytest.mark.parametrize("n", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    def test_matches_exhaustive_scan_across_block_edges(self, n):
+        scenario = Scenario(region_radius=7.0)
+        grid = coverage_grid(scenario.region_center, scenario.region_radius, scenario.grid_resolution)[:n]
+        assert len(grid) == n
+        layout = deployment_layout(random_deployment(scenario, np.random.default_rng(n)), scenario)
+        book = GridCodebook(
+            grid=grid,
+            steering=steering_matrix(layout, grid, scenario.wavelength),
+            distance_weights=distance_weights(grid, 0.05),
+        )
+        report = max_weighted_correlation(book)
+        oracle_val, oracle_pair = pair_scan_oracle(book)
+        assert report.max_value == pytest.approx(oracle_val, rel=5e-15)
+        assert report.arg_pair == oracle_pair
+
+    def test_matches_full_gram_scan_bit_for_bit(self):
+        # the unblocked scan: gather every strict-upper pair, first argmax
+        scenario = Scenario()
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            book = build_codebook(random_deployment(scenario, rng), scenario)
+            rows, cols = np.triu_indices(len(book.grid), k=1)
+            gram = np.abs(book.steering.conj().T @ book.steering)
+            values = gram[rows, cols] * book.distance_weights[rows, cols]
+            k = int(np.argmax(values))
+            report = max_weighted_correlation(book)
+            assert report.max_value == values[k]
+            assert report.arg_pair == (rows[k], cols[k])
+
+    @pytest.mark.parametrize("first, second", [((3, 10), (BLOCK_ROWS + 5, 100)), ((3, 100), (5, 6))])
+    def test_ties_resolve_to_the_lexicographically_first_pair(self, first, second):
+        n = 2 * BLOCK_ROWS + 1
+        weights = np.full((n, n), 0.5)
+        np.fill_diagonal(weights, 0.0)
+        for i, j in (first, second):
+            weights[i, j] = weights[j, i] = 2.0
+        book = GridCodebook(
+            grid=np.column_stack((np.arange(n, dtype=float), np.zeros(n))),
+            steering=np.ones((1, n), dtype=complex),
+            distance_weights=weights,
+        )
+        assert max_weighted_correlation(book) == CorrelationReport(max_value=2.0, arg_pair=first)
+
+    def test_all_zero_values_report_the_first_pair(self):
+        # the masked diagonal must lose even to a zero-valued pair
+        n = BLOCK_ROWS + 1
+        book = GridCodebook(
+            grid=np.column_stack((np.arange(n, dtype=float), np.zeros(n))),
+            steering=np.ones((1, n), dtype=complex),
+            distance_weights=np.zeros((n, n)),
+        )
+        assert max_weighted_correlation(book) == CorrelationReport(max_value=0.0, arg_pair=(0, 1))
+
     def test_rejects_single_point_grid(self, small_scenario):
         dep = random_deployment(small_scenario, np.random.default_rng(15))
         layout = deployment_layout(dep, small_scenario)
@@ -224,6 +286,32 @@ class TestMaxWeightedCorrelation:
         )
         with pytest.raises(ValueError):
             max_weighted_correlation(book)
+
+
+class TestFineGridMemory:
+    """At a 0.25 m grid (n = 3761) the n x n weight matrix is the one O(n^2) array."""
+
+    def test_weight_build_and_metric_peaks(self):
+        scenario = Scenario(grid_resolution=0.25)
+        grid = coverage_grid(scenario.region_center, scenario.region_radius, scenario.grid_resolution)
+        n = len(grid)
+        assert n == 3761
+        layout = deployment_layout(random_deployment(scenario, np.random.default_rng(17)), scenario)
+        steering = steering_matrix(layout, grid, scenario.wavelength)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            weights = distance_weights(grid, scenario.alpha)
+            weights_peak = tracemalloc.get_traced_memory()[1] - base
+            book = GridCodebook(grid=grid, steering=steering, distance_weights=weights)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            max_weighted_correlation(book)
+            metric_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert weights_peak <= 1.25 * n * n * 8
+        assert metric_peak <= 32 * 2**20
 
 
 # ---------------------------------------------------------------- pearson

@@ -7,10 +7,14 @@ and feasibility of every result.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isacdeploy import ga
 from isacdeploy.correlation import build_codebook, max_weighted_correlation
 from isacdeploy.ga import (
     GaParams,
@@ -288,14 +292,29 @@ class TestFitness:
         baseline = encode_deployment(midpoint_baseline(small_scenario))
         assert fitness(collocated, small_scenario) > fitness(baseline, small_scenario)
 
-    def test_shared_grid_gives_identical_values(self, small_scenario):
-        from isacdeploy.correlation import distance_weights
-        from isacdeploy.geometry import coverage_grid
+    def test_element_on_a_grid_point_scores_inf(self):
+        scenario = Scenario(region_radius=3.0, element_spacing=1.0)
+        # element offsets +-0.5, +-1.5 from the node at (0.5, 0) land on grid points
+        genes = np.array([0.5, 0.0, 0.0, 0.5, 1.5, 0.25, -1.0, -1.0, 0.5])
+        assert fitness(genes, scenario) == math.inf
 
-        genes = encode_deployment(random_deployment(small_scenario, np.random.default_rng(12)))
-        grid = coverage_grid(small_scenario.region_center, small_scenario.region_radius, 1.0)
-        weights = distance_weights(grid, small_scenario.alpha)
-        assert fitness(genes, small_scenario) == fitness(genes, small_scenario, grid=grid, weights=weights)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-2.5, -1.5, -0.5, 0.0, 0.5, 1.5, 2.5])),
+                st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])),
+                st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), st.just(0.0)),
+            ),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_in_bounds_chromosomes_score_finite_or_inf(self, poses):
+        # a node at a half-integer x, an integer y and theta 0 puts its elements on the 1 m lattice
+        scenario = Scenario(region_radius=3.0, element_spacing=1.0)
+        value = fitness(np.array(poses).ravel(), scenario)
+        assert math.isfinite(value) or value == math.inf
 
     def test_rejects_wrong_gene_count(self, small_scenario):
         with pytest.raises(ValueError):
@@ -351,6 +370,32 @@ class TestRunGa:
         threaded = run_ga(small_scenario, desk_params, np.random.default_rng(13), threads=4)
         assert np.array_equal(threaded.best, desk_result.best)
         assert np.array_equal(threaded.trace, desk_result.trace)
+
+    def test_one_executor_per_threaded_run_shut_down_on_every_exit(self, small_scenario, monkeypatch):
+        executors = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.closed = False
+                executors.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                self.closed = True
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(ga, "ThreadPoolExecutor", Recording)
+        params = GaParams(population_size=6, elite_count=2, max_generations=3)
+        run_ga(small_scenario, params, np.random.default_rng(16), threads=2)
+        assert [e.closed for e in executors] == [True]
+
+        def broken(chromosome, scenario):
+            raise RuntimeError("evaluation failed")
+
+        monkeypatch.setattr(ga, "fitness", broken)
+        with pytest.raises(RuntimeError):
+            run_ga(small_scenario, params, np.random.default_rng(16), threads=2)
+        assert [e.closed for e in executors] == [True, True]
 
     def test_trace_monotone_and_accounted(self, desk_params, desk_result):
         assert desk_result.trace.shape == (13,)
