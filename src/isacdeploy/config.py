@@ -18,6 +18,7 @@ import numpy as np
 
 from .ga import GaParams
 from .geometry import Deployment, NodePose, Scenario
+from .signals import snr_to_powers
 
 EXPERIMENT_KINDS = ("optimize", "montecarlo", "alpha-sweep", "snr-sweep", "node-sweep", "evaluate")
 
@@ -59,8 +60,13 @@ class ExperimentSettings:
         if not alphas or any(not np.isfinite(a) or a < 0 for a in alphas):
             raise ValueError(f"alpha_values must be a non-empty list of values >= 0, got {self.alpha_values!r}")
         snrs = tuple(float(s) for s in self.snr_values_db)
-        if not snrs or any(not np.isfinite(s) for s in snrs):
+        if not snrs:
             raise ValueError(f"snr_values_db must be a non-empty list of finite values, got {self.snr_values_db!r}")
+        for index, snr_db in enumerate(snrs):
+            try:
+                snr_to_powers(snr_db)
+            except ValueError as exc:
+                raise ValueError(f"snr_values_db[{index}]: {exc}") from None
         nodes = tuple(self.node_counts)
         if not nodes or any(not isinstance(j, int) or isinstance(j, bool) or j < 1 for j in nodes):
             raise ValueError(f"node_counts must be a non-empty list of integers >= 1, got {self.node_counts!r}")
@@ -127,18 +133,24 @@ def parse_config(document, expected_kind: str | None = None) -> ExperimentConfig
     return ExperimentConfig(scenario=scenario, ga=ga, experiment=experiment)
 
 
-def load_config(path, expected_kind: str | None = None) -> ExperimentConfig:
-    """Parse a config file, turning JSON syntax errors into located diagnostics."""
+def _read_json(path):
+    """Parsed JSON document of a UTF-8 file; read, decoding and syntax errors become located ConfigErrors."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start}: not valid UTF-8 ({exc.reason})") from exc
     try:
-        document = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return parse_config(document, expected_kind=expected_kind)
+
+
+def load_config(path, expected_kind: str | None = None) -> ExperimentConfig:
+    """Parse a config file, turning JSON syntax errors into located diagnostics."""
+    return parse_config(_read_json(path), expected_kind=expected_kind)
 
 
 def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
@@ -189,13 +201,4 @@ def parse_deployment(document) -> Deployment:
 
 def load_deployment(path) -> Deployment:
     """Parse a deployment JSON file with located syntax diagnostics."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return parse_deployment(document)
+    return parse_deployment(_read_json(path))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import snr_to_powers
+
 SPEED_OF_LIGHT = 299_792_458.0
 """Exact SI propagation speed (m/s) for frequency/wavelength conversion."""
 
@@ -85,8 +87,7 @@ class Scenario:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        snr_to_powers(self.snr_db)  # finite, with a finite power 10^(snr_db/10)
         if not np.isfinite(self.alpha) or self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
         center = tuple(float(c) for c in self.region_center)

@@ -1,10 +1,16 @@
 """Subspace-based single-target localization over the coverage grid.
 
-The localizer eigendecomposes the sample covariance, keeps the eigenvectors
-of the smallest N*J - 1 eigenvalues as the noise subspace, scores every grid
-point by the projected power of its steering vector onto that subspace, and
-picks the minimizer (equivalent to the classic pseudo-spectrum argmax, but
-free of the division by a value that is zero at exact orthogonality).
+MUSIC scores each grid point by the power of its unit-norm steering vector a
+in the noise subspace of the sample covariance (the eigenvectors of the
+smallest M - 1 eigenvalues, M = N*J) and picks the minimizer. With one source
+that subspace is the orthogonal complement of the principal eigenvector u1,
+so the projected power is 1 - |u1^H a|^2: the localizer takes the argmax of
+|u1^H a|^2, the same point for one inner product per grid point instead of
+M - 1. Ties go to the lowest grid index.
+
+`_localize_indices` does this for a whole stack of covariances; `localize`
+checks one covariance and calls it, and `rmse_map` calls it on the
+covariances of one snapshot stack per grid point.
 
 Monte Carlo RMSE maps draw per-grid-point child streams from the caller's
 generator, so identically seeded generators give common random numbers
@@ -20,23 +26,7 @@ import numpy as np
 
 from .correlation import GridCodebook, build_codebook
 from .geometry import Deployment, Scenario
-from .signals import PowerLevels, complex_normal, snr_to_powers
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseSubspace:
-    """Orthonormal basis of the noise subspace, shape (N*J, N*J - num_sources)."""
-
-    basis: np.ndarray
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis)
-        if basis.ndim != 2 or not 1 <= basis.shape[1] < basis.shape[0]:
-            raise ValueError(f"basis must be a tall (M, M-K) matrix, got shape {basis.shape}")
-        gram = basis.conj().T @ basis
-        if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-10):
-            raise ValueError("basis columns must be orthonormal")
-        object.__setattr__(self, "basis", basis)
+from .signals import PowerLevels, generate_snapshots, sample_covariance, snr_to_powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +52,18 @@ class LocalizationStats:
         object.__setattr__(self, "per_point_rmse", rmse)
 
 
-def noise_subspace(cov, num_sources: int) -> NoiseSubspace:
-    """Eigenvectors of the smallest N*J - num_sources eigenvalues of cov."""
+def _localize_indices(covs, steering: np.ndarray) -> np.ndarray:
+    """Grid index with the largest |u1^H a|^2 for each covariance in covs (..., M, M).
+
+    u1 is the eigenvector of the largest eigenvalue; ties go to the lowest index.
+    """
+    _, vectors = np.linalg.eigh(covs)  # ascending eigenvalues
+    inner = vectors[..., -1].conj() @ steering
+    return np.argmax(inner.real**2 + inner.imag**2, axis=-1)
+
+
+def localize(cov, codebook: GridCodebook) -> np.ndarray:
+    """Grid point of the rank-one MUSIC estimate for one (M, M) covariance."""
     cov = np.asarray(cov)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"covariance must be square, got shape {cov.shape}")
@@ -72,28 +72,11 @@ def noise_subspace(cov, num_sources: int) -> NoiseSubspace:
     scale = max(1.0, float(np.max(np.abs(cov))))
     if not np.allclose(cov, cov.conj().T, atol=1e-10 * scale):
         raise ValueError("covariance must be Hermitian")
-    m = cov.shape[0]
-    if not 1 <= num_sources < m:
-        raise ValueError(f"num_sources must be in [1, {m - 1}], got {num_sources!r}")
-    _, vectors = np.linalg.eigh(cov)  # ascending eigenvalues
-    return NoiseSubspace(basis=vectors[:, : m - num_sources])
-
-
-def music_scores(subspace: NoiseSubspace, codebook: GridCodebook) -> np.ndarray:
-    """Noise-projected power of every grid point's steering vector, in [0, 1]."""
-    if subspace.basis.shape[0] != codebook.steering.shape[0]:
+    if cov.shape[0] != codebook.steering.shape[0]:
         raise ValueError(
-            f"subspace dimension {subspace.basis.shape[0]} does not match "
-            f"codebook dimension {codebook.steering.shape[0]}"
+            f"covariance dimension {cov.shape[0]} does not match codebook dimension {codebook.steering.shape[0]}"
         )
-    projections = subspace.basis.conj().T @ codebook.steering
-    return np.sum(projections.real**2 + projections.imag**2, axis=0)
-
-
-def localize(cov, codebook: GridCodebook) -> np.ndarray:
-    """Grid point minimizing the noise-projected power (ties: lowest index)."""
-    scores = music_scores(noise_subspace(cov, 1), codebook)
-    return codebook.grid[int(np.argmin(scores))].copy()
+    return codebook.grid[_localize_indices(cov, codebook.steering)].copy()
 
 
 def _point_rmse(
@@ -102,21 +85,10 @@ def _point_rmse(
     """RMSE of `trials` batched localizations of the target at grid point `index`.
 
     Stream order per point: one source block (trials, T), then one noise block
-    (trials, M, T); matches the single-trial snapshot layout with the trial
-    axis stacked in front.
+    (trials, M, T), as drawn by `generate_snapshots`.
     """
-    m, n = codebook.steering.shape
-    a = codebook.steering[:, index]
-    sources = complex_normal(rng, (trials, snapshots), powers.signal_power)
-    noise = complex_normal(rng, (trials, m, snapshots), powers.noise_power)
-    batch = a[np.newaxis, :, np.newaxis] * sources[:, np.newaxis, :] + noise
-    covs = batch @ batch.conj().transpose(0, 2, 1) / snapshots
-    covs = 0.5 * (covs + covs.conj().transpose(0, 2, 1))
-    _, vectors = np.linalg.eigh(covs)
-    bases = vectors[:, :, : m - 1]
-    projections = bases.conj().transpose(0, 2, 1) @ codebook.steering
-    scores = np.sum(projections.real**2 + projections.imag**2, axis=1)
-    estimates = np.argmin(scores, axis=1)
+    batch = generate_snapshots(codebook.steering[:, index], powers, snapshots, rng, trials=trials)
+    estimates = _localize_indices(sample_covariance(batch), codebook.steering)
     squared_error = np.sum((codebook.grid[estimates] - codebook.grid[index]) ** 2, axis=1)
     return float(np.sqrt(np.mean(squared_error)))
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from isacdeploy.cli import main
+from isacdeploy.config import deployment_to_dict
+from isacdeploy.geometry import Scenario, midpoint_baseline
 
 DESK_CONFIG = {
     "scenario": {"region_radius": 4.0, "snapshot_count": 32},
@@ -234,3 +236,36 @@ class TestBadInputs:
         monkeypatch.setenv("ISAC_DEPLOY_THREADS", "many")
         assert main(["optimize", "--config", str(config_path)]) == 2
         assert "ISAC_DEPLOY_THREADS" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_two_with_byte_offset(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        text = json.dumps(DESK_CONFIG).encode()
+        path.write_bytes(text + b"\xff")
+        assert main(["optimize", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config.json" in err and f"byte {len(text)}" in err
+
+    def test_non_utf8_deployment_exits_two_with_byte_offset(self, tmp_path, config_path, capsys):
+        path = tmp_path / "deployment.json"
+        text = json.dumps({"poses": [{"x": 1.0, "y": 2.0, "theta": 0.0}]}).encode()
+        path.write_bytes(text + b"\xff")
+        assert main(["evaluate", "--config", str(config_path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "deployment.json" in err and f"byte {len(text)}" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "montecarlo"])
+    def test_overflowing_scenario_snr_exits_two(self, tmp_path, command, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**DESK_CONFIG, "scenario": {"region_radius": 4.0, "snr_db": 4000}}))
+        deployment = tmp_path / "deployment.json"
+        deployment.write_text(json.dumps(deployment_to_dict(midpoint_baseline(Scenario(region_radius=4.0)))))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv + ([str(deployment)] if command == "evaluate" else [])) == 2
+        assert "scenario: snr_db" in capsys.readouterr().err
+
+    def test_overflowing_sweep_snr_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        experiment = {**DESK_CONFIG["experiment"], "snr_values_db": [4000.0, 0.0]}
+        path.write_text(json.dumps({**DESK_CONFIG, "experiment": experiment}))
+        assert main(["snr-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "experiment: snr_values_db[0]" in capsys.readouterr().err

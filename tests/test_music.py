@@ -1,14 +1,18 @@
 """Subspace localizer tests.
 
-Exactness cases (population covariance, noiseless snapshots, isotropic
-covariance, a known diagonal spectrum) pin the eigenstructure handling;
-seeded Monte Carlo cases pin the statistical behavior at high SNR.
+Exactness cases (population covariance, noiseless snapshots, a known
+diagonal spectrum) pin the eigenstructure handling; seeded Monte Carlo cases
+pin the statistical behavior at high SNR. The (M - 1)-vector noise-subspace
+projection that the rank-one kernel replaced is kept below as the reference:
+`rmse_map` must match it bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from isacdeploy.correlation import build_codebook
+from isacdeploy.correlation import GridCodebook, build_codebook
 from isacdeploy.geometry import (
     Deployment,
     NodePose,
@@ -18,19 +22,53 @@ from isacdeploy.geometry import (
     random_deployment,
     steering_vector,
 )
-from isacdeploy.music import (
-    LocalizationStats,
-    NoiseSubspace,
-    localize,
-    music_scores,
-    noise_subspace,
-    rmse_map,
-)
+from isacdeploy.music import LocalizationStats, _localize_indices, _point_rmse, localize, rmse_map
 from isacdeploy.signals import PowerLevels, generate_snapshots, sample_covariance, snr_to_powers
 
 
 def population_covariance(a, signal_power, noise_power):
     return signal_power * np.outer(a, a.conj()) + noise_power * np.eye(a.size)
+
+
+def reference_complex_normal(rng, shape, variance):
+    """`complex_normal` assembled through complex temporaries instead of in place."""
+    if variance == 0.0:
+        return np.zeros(shape, dtype=complex)
+    parts = rng.standard_normal((2,) + shape)
+    return np.sqrt(variance / 2.0) * (parts[0] + 1j * parts[1])
+
+
+def projected_power(covs, steering):
+    """Power of every steering column in the span of the M - 1 smallest eigenvectors, (..., n)."""
+    _, vectors = np.linalg.eigh(covs)
+    bases = vectors[..., : steering.shape[0] - 1]
+    projections = bases.conj().swapaxes(-1, -2) @ steering
+    return np.sum(projections.real**2 + projections.imag**2, axis=-2)
+
+
+def reference_point_rmse(codebook, index, snapshots, trials, powers, rng):
+    """Per-point RMSE by the (M - 1)-vector projection argmin, with its own snapshot code."""
+    m = codebook.steering.shape[0]
+    a = codebook.steering[:, index]
+    sources = reference_complex_normal(rng, (trials, snapshots), powers.signal_power)
+    noise = reference_complex_normal(rng, (trials, m, snapshots), powers.noise_power)
+    batch = a[np.newaxis, :, np.newaxis] * sources[:, np.newaxis, :] + noise
+    covs = batch @ batch.conj().transpose(0, 2, 1) / snapshots
+    covs = 0.5 * (covs + covs.conj().transpose(0, 2, 1))
+    estimates = np.argmin(projected_power(covs, codebook.steering), axis=1)
+    squared_error = np.sum((codebook.grid[estimates] - codebook.grid[index]) ** 2, axis=1)
+    return float(np.sqrt(np.mean(squared_error)))
+
+
+def reference_rmse_map(deployment, scenario, trials, rng, powers):
+    codebook = build_codebook(deployment, scenario)
+    streams = rng.spawn(len(codebook.grid))
+    return np.array(
+        [
+            reference_point_rmse(codebook, i, scenario.snapshot_count, trials, powers, stream)
+            for i, stream in enumerate(streams)
+        ]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -43,35 +81,38 @@ def baseline_book(small_scenario):
     return build_codebook(midpoint_baseline(small_scenario), small_scenario)
 
 
+def reversed_book(book):
+    """The same codebook with its grid order reversed, so index ties break the other way."""
+    return GridCodebook(book.grid[::-1], book.steering[:, ::-1], book.distance_weights[::-1, ::-1])
+
+
 # ---------------------------------------------------------------- subspace
 
 
 class TestNoiseSubspace:
-    def test_population_covariance_orthogonal_to_steering(self, small_scenario, baseline_book):
-        a = baseline_book.steering[:, 7]
-        cov = population_covariance(a, 10.0, 1.0)
-        sub = noise_subspace(cov, 1)
-        assert sub.basis.shape == (12, 11)
-        assert np.linalg.norm(sub.basis.conj().T @ a) < 1e-10
+    """With one source the noise subspace is the complement of the principal
+    eigenvector u1; these cases reach it through `localize`."""
 
-    def test_isotropic_covariance_orthonormal_basis(self):
-        sub = noise_subspace(np.eye(12), 1)
-        assert sub.basis.shape == (12, 11)
-        gram = sub.basis.conj().T @ sub.basis
-        assert np.allclose(gram, np.eye(11), atol=1e-10)
+    def test_population_covariance_orthogonal_to_steering(self, baseline_book):
+        for true_index in range(len(baseline_book.grid)):
+            a = baseline_book.steering[:, true_index]
+            estimate = localize(population_covariance(a, 10.0, 1.0), baseline_book)
+            assert np.array_equal(estimate, baseline_book.grid[true_index])
 
-    def test_known_diagonal_spectrum_selects_smallest(self):
+    def test_known_diagonal_spectrum_selects_principal_axis(self):
         cov = np.diag([0.1, 5.0, 0.2, 3.0]).astype(complex)
-        sub = noise_subspace(cov, 2)
-        projector = sub.basis @ sub.basis.conj().T
-        assert np.allclose(projector, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
+        mixed = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2.0)
+        steering = np.column_stack([np.eye(4), mixed]).astype(complex)
+        grid = np.arange(10.0).reshape(5, 2)
+        book = GridCodebook(grid, steering, np.zeros((5, 5)))
+        assert np.array_equal(localize(cov, book), grid[1])
+        assert np.array_equal(localize(cov, reversed_book(book)), grid[1])
 
-    def test_high_snr_sample_covariance_aligns(self, small_scenario, baseline_book):
+    def test_high_snr_sample_covariance_aligns(self, baseline_book):
         rng = np.random.default_rng(42)
         a = baseline_book.steering[:, 11]
         batch = generate_snapshots(a, snr_to_powers(30.0), 200, rng)
-        sub = noise_subspace(sample_covariance(batch), 1)
-        assert np.linalg.norm(sub.basis.conj().T @ a) ** 2 < 0.05
+        assert np.array_equal(localize(sample_covariance(batch), baseline_book), baseline_book.grid[11])
 
     def test_eigendecomposition_reconstructs(self):
         rng = np.random.default_rng(43)
@@ -81,50 +122,44 @@ class TestNoiseSubspace:
         recon = (vecs * vals) @ vecs.conj().T
         assert np.linalg.norm(recon - cov) <= 1e-8 * np.linalg.norm(cov)
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            noise_subspace(np.eye(4), 0)
-        with pytest.raises(ValueError):
-            noise_subspace(np.eye(4), 4)
-        with pytest.raises(ValueError):
-            noise_subspace(np.full((4, 4), np.nan), 1)
-        with pytest.raises(ValueError):
-            noise_subspace(np.arange(16.0).reshape(4, 4), 1)  # not Hermitian
-
-    def test_subspace_type_validates_orthonormality(self):
-        with pytest.raises(ValueError):
-            NoiseSubspace(basis=np.ones((4, 2), dtype=complex))
+    def test_rejects_bad_inputs(self, baseline_book):
+        with pytest.raises(ValueError, match="finite"):
+            localize(np.full((12, 12), np.nan), baseline_book)
+        with pytest.raises(ValueError, match="Hermitian"):
+            localize(np.arange(144.0).reshape(12, 12), baseline_book)
+        with pytest.raises(ValueError, match="square"):
+            localize(np.eye(12)[:, :11], baseline_book)
 
 
 # ---------------------------------------------------------------- scores
 
 
 class TestMusicScores:
-    def test_population_covariance_true_point_is_strict_minimum(self, small_scenario, baseline_book):
+    """The rank-one score |u1^H a|^2 against the projected noise power it replaces."""
+
+    def test_population_covariance_true_point_is_strict_minimum(self, baseline_book):
+        # the true point must win with ties broken both ways
         true_index = 17
-        a = baseline_book.steering[:, true_index]
-        sub = noise_subspace(population_covariance(a, 1.0, 1.0), 1)
-        scores = music_scores(sub, baseline_book)
-        assert scores[true_index] < 1e-10
-        others = np.delete(scores, true_index)
-        assert np.all(others > scores[true_index])
+        cov = population_covariance(baseline_book.steering[:, true_index], 1.0, 1.0)
+        assert np.array_equal(localize(cov, baseline_book), baseline_book.grid[true_index])
+        assert np.array_equal(localize(cov, reversed_book(baseline_book)), baseline_book.grid[true_index])
 
-    def test_isotropic_covariance_flat_scores(self, baseline_book):
-        scores = music_scores(noise_subspace(np.eye(12), 1), baseline_book)
-        assert np.allclose(scores, 11.0 / 12.0, atol=1e-8)
-
-    def test_scores_within_projection_bounds(self, small_scenario, baseline_book):
+    def test_scores_within_projection_bounds(self, baseline_book):
+        # one source, unit-norm steering: projected power = 1 - |u1^H a|^2
         rng = np.random.default_rng(44)
-        a = baseline_book.steering[:, 3]
-        batch = generate_snapshots(a, snr_to_powers(0.0), 50, rng)
-        scores = music_scores(noise_subspace(sample_covariance(batch), 1), baseline_book)
-        assert scores.shape == (len(baseline_book.grid),)
-        assert np.all(scores >= 0.0)
-        assert np.all(scores <= 1.0 + 1e-10)
+        steering = baseline_book.steering
+        for snr_db in (-10.0, 0.0, 20.0):
+            batch = generate_snapshots(steering[:, 3], snr_to_powers(snr_db), 50, rng, trials=20)
+            covs = sample_covariance(batch)
+            _, vectors = np.linalg.eigh(covs)
+            rank_one = 1.0 - np.abs(vectors[..., -1].conj() @ steering) ** 2
+            projected = projected_power(covs, steering)
+            assert np.all(projected >= 0.0) and np.all(projected <= 1.0 + 1e-12)
+            assert np.max(np.abs(rank_one - projected)) <= 1e-12
 
     def test_rejects_dimension_mismatch(self, baseline_book):
-        with pytest.raises(ValueError):
-            music_scores(noise_subspace(np.eye(6), 1), baseline_book)
+        with pytest.raises(ValueError, match="dimension"):
+            localize(np.eye(6), baseline_book)
 
 
 # ---------------------------------------------------------------- localize
@@ -170,6 +205,17 @@ class TestLocalize:
         with pytest.raises(ValueError):
             localize(np.eye(9), baseline_book)
 
+    def test_rank_one_argmax_matches_the_projection_argmin(self, small_scenario):
+        rng = np.random.default_rng(55)
+        for deployment in (midpoint_baseline(small_scenario), random_deployment(small_scenario, rng)):
+            book = build_codebook(deployment, small_scenario)
+            for snr_db in (-10.0, -5.0, 0.0, 20.0):
+                for true_index in rng.choice(len(book.grid), 4, replace=False):
+                    batch = generate_snapshots(book.steering[:, true_index], snr_to_powers(snr_db), 200, rng, trials=25)
+                    covs = sample_covariance(batch)
+                    want = np.argmin(projected_power(covs, book.steering), axis=-1)
+                    assert np.array_equal(_localize_indices(covs, book.steering), want)
+
 
 # ---------------------------------------------------------------- rmse map
 
@@ -210,6 +256,32 @@ class TestRmseMap:
         low = rmse_map(dep, Scenario(region_radius=4.0, snr_db=-10.0), 5, np.random.default_rng(53))
         high = rmse_map(dep, Scenario(region_radius=4.0, snr_db=20.0), 5, np.random.default_rng(53))
         assert high.max_rmse < low.max_rmse
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 20.0, None])
+    def test_matches_the_projection_reference_bit_for_bit(self, small_scenario, snr_db):
+        scenario = small_scenario if snr_db is None else Scenario(region_radius=4.0, snr_db=snr_db)
+        powers = PowerLevels(1.0, 0.0) if snr_db is None else snr_to_powers(snr_db)
+        layouts = (midpoint_baseline(scenario), random_deployment(scenario, np.random.default_rng(56)))
+        for deployment in layouts:
+            stats = rmse_map(deployment, scenario, 20, np.random.default_rng(57), powers=powers)
+            want = reference_rmse_map(deployment, scenario, 20, np.random.default_rng(57), powers)
+            assert np.array_equal(stats.per_point_rmse, want)
+
+    def test_one_1000_trial_point_peak_memory(self):
+        # the (trials, M, T) snapshot block and its draws dominate a point's memory
+        scenario = Scenario()
+        book = build_codebook(midpoint_baseline(scenario), scenario)
+        trials, (m, _), t = 1000, book.steering.shape, scenario.snapshot_count
+        block = trials * m * t * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _point_rmse(book, 100, t, trials, snr_to_powers(0.0), np.random.default_rng(58))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * block, f"peak {peak / 2**20:.1f} MiB is {peak / block:.2f} blocks"
 
     def test_rejects_bad_trials(self, small_scenario):
         with pytest.raises(ValueError):

@@ -42,6 +42,12 @@ class TestPowers:
         with pytest.raises(ValueError):
             snr_to_powers(float("nan"))
 
+    def test_rejects_a_level_whose_power_overflows(self):
+        assert np.isfinite(snr_to_powers(3082.5).signal_power)
+        for snr_db in (3082.6, 4000, np.float64(4000.0)):
+            with pytest.raises(ValueError, match="snr_db must be at most"):
+                snr_to_powers(snr_db)
+
     def test_power_levels_reject_negative(self):
         with pytest.raises(ValueError):
             PowerLevels(-1.0, 1.0)
@@ -68,6 +74,12 @@ class TestComplexNormal:
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
             complex_normal(np.random.default_rng(0), (4,), -1.0)
+
+    @pytest.mark.parametrize("variance", [0.1, 1.0, 10.0])
+    def test_in_place_build_matches_the_complex_temporaries(self, variance):
+        parts = np.random.default_rng(6).standard_normal((2, 5, 12, 40))
+        want = np.sqrt(variance / 2.0) * (parts[0] + 1j * parts[1])
+        assert np.array_equal(complex_normal(np.random.default_rng(6), (5, 12, 40), variance), want)
 
 
 class TestSnapshots:
@@ -96,9 +108,33 @@ class TestSnapshots:
         col_power = np.mean(np.sum(np.abs(y) ** 2, axis=0))
         assert col_power == pytest.approx(1.0 + nj, rel=0.03)
 
+    def test_one_trial_batch_equals_the_unbatched_matrix(self, reference_steering):
+        for powers in (snr_to_powers(0.0), PowerLevels(1.0, 0.0), PowerLevels(0.0, 1.0)):
+            y = generate_snapshots(reference_steering, powers, 64, np.random.default_rng(8))
+            batch = generate_snapshots(reference_steering, powers, 64, np.random.default_rng(8), trials=1)
+            assert batch.shape == (1,) + y.shape
+            assert np.array_equal(batch[0], y)
+            assert np.array_equal(sample_covariance(batch)[0], sample_covariance(y))
+
+    def test_trials_stack_the_unbatched_layout(self, reference_steering):
+        # all trials' sources are drawn first, then all trials' noise blocks
+        a, powers = reference_steering, PowerLevels(2.0, 0.5)
+        batch = generate_snapshots(a, powers, 16, np.random.default_rng(10), trials=3)
+        rng = np.random.default_rng(10)
+        source_parts = rng.standard_normal((2, 3, 16))
+        noise_parts = rng.standard_normal((2, 3, a.size, 16))
+        s = np.sqrt(powers.signal_power / 2.0) * (source_parts[0] + 1j * source_parts[1])
+        noise = np.sqrt(powers.noise_power / 2.0) * (noise_parts[0] + 1j * noise_parts[1])
+        covs = sample_covariance(batch)
+        for k in range(3):
+            assert np.array_equal(batch[k], a[:, None] * s[k][None, :] + noise[k])
+            assert np.array_equal(covs[k], sample_covariance(batch[k]))
+
     def test_rejects_bad_arguments(self, reference_steering):
         with pytest.raises(ValueError):
             generate_snapshots(reference_steering, snr_to_powers(0.0), 0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            generate_snapshots(reference_steering, snr_to_powers(0.0), 4, np.random.default_rng(0), trials=0)
         with pytest.raises(ValueError):
             generate_snapshots(np.ones((2, 2)), snr_to_powers(0.0), 4, np.random.default_rng(0))
 
