@@ -67,7 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             metavar="N",
-            help=f"worker threads (default: ${_ENV_THREADS} or 1)",
+            help=(
+                f"Monte Carlo worker threads (default: ${_ENV_THREADS} or 1); "
+                "optimize runs no Monte Carlo and does not use it"
+            ),
         )
         if kind == "evaluate":
             sub.add_argument("deployment", type=Path, help="deployment JSON file to evaluate")

@@ -62,15 +62,6 @@ class CorrelationReport:
         object.__setattr__(self, "arg_pair", (int(i), int(j)))
 
 
-def pairwise_distances(points) -> np.ndarray:
-    """Symmetric (n, n) Euclidean distance matrix of planar points."""
-    points = np.asarray(points, dtype=float)
-    return np.hypot(
-        points[:, 0][:, np.newaxis] - points[:, 0][np.newaxis, :],
-        points[:, 1][:, np.newaxis] - points[:, 1][np.newaxis, :],
-    )
-
-
 def distance_weights(points, alpha: float) -> np.ndarray:
     """Pair weight matrix d_ij^alpha with an explicitly zeroed diagonal.
 

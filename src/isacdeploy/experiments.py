@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .correlation import build_codebook, max_weighted_correlation, pearson
+from .correlation import CorrelationReport, build_codebook, max_weighted_correlation, pearson
 from .ga import decode_chromosome, run_ga
 from .geometry import (
     Deployment,
@@ -98,20 +98,25 @@ def _random_ensemble(scenario, settings, *key_prefix: int) -> list[Deployment]:
     ]
 
 
-def _optimize(config: ExperimentConfig, threads: int, *key_suffix: int):
-    scenario = config.scenario if not key_suffix else replace(config.scenario, node_count=key_suffix[0])
+def _optimize(config: ExperimentConfig, *key_suffix: int):
     rng = derived_rng(config.experiment.seed, _GA_STREAM, *key_suffix)
-    return run_ga(scenario, config.ga, rng, threads=threads)
+    return run_ga(config.scenario, config.ga, rng)
 
 
-def run_optimize(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle:
+def _worst_pair(deployment, scenario) -> tuple[CorrelationReport, dict]:
+    """Worst-pair report of a deployment and its `summary.json` entry."""
+    codebook = build_codebook(deployment, scenario)
+    report = max_weighted_correlation(codebook)
+    point_i, point_j = codebook.grid[list(report.arg_pair)].tolist()
+    return report, {"indices": list(report.arg_pair), "point_i": point_i, "point_j": point_j}
+
+
+def run_optimize(config: ExperimentConfig) -> ResultBundle:
     """GA optimization: convergence trace plus the optimized deployment."""
     scenario, settings = config.scenario, config.experiment
-    result = _optimize(config, threads)
+    result = _optimize(config)
     best = decode_chromosome(result.best)
-    codebook = build_codebook(best, scenario)
-    report = max_weighted_correlation(codebook)
-    i, j = report.arg_pair
+    _, worst_pair = _worst_pair(best, scenario)
     trace_rows = tuple((generation, float(value)) for generation, value in enumerate(result.trace))
     summary = {
         "kind": settings.kind,
@@ -119,11 +124,7 @@ def run_optimize(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle:
         "best_fitness": result.best_fitness,
         "evaluations": result.evaluations,
         "generations": config.ga.max_generations,
-        "worst_pair": {
-            "indices": [i, j],
-            "point_i": [float(codebook.grid[i, 0]), float(codebook.grid[i, 1])],
-            "point_j": [float(codebook.grid[j, 0]), float(codebook.grid[j, 1])],
-        },
+        "worst_pair": worst_pair,
     }
     checks = {
         "trace_non_increasing": bool(np.all(np.diff(result.trace) <= 0.0)),
@@ -149,7 +150,7 @@ def run_montecarlo(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
     """
     scenario, settings = config.scenario, config.experiment
     entries: list[tuple[str, Deployment]] = []
-    optimized = decode_chromosome(_optimize(config, threads).best)
+    optimized = decode_chromosome(_optimize(config).best)
     entries.append(("optimized", optimized))
     deployments_out = {"optimized": optimized}
     if scenario.node_count == 3:
@@ -243,7 +244,7 @@ def run_snr_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle
     sweep isolates deployment and SNR effects from Monte Carlo noise.
     """
     scenario, settings = config.scenario, config.experiment
-    optimized = decode_chromosome(_optimize(config, threads).best)
+    optimized = decode_chromosome(_optimize(config).best)
     deployments_out = {"optimized": optimized}
     baseline = None
     if scenario.node_count == 3:
@@ -309,7 +310,7 @@ def run_node_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
     deployments_out = {}
     for node_count in settings.node_counts:
         at_count = replace(scenario, node_count=node_count)
-        result = _optimize(replace(config, scenario=at_count), threads, node_count)
+        result = _optimize(replace(config, scenario=at_count), node_count)
         optimized = decode_chromosome(result.best)
         deployments_out[f"optimized-j{node_count}"] = optimized
         ensemble = _random_ensemble(at_count, settings, node_count)
@@ -362,9 +363,7 @@ def run_evaluate(config: ExperimentConfig, deployment: Deployment, *, threads: i
     violations = deployment_violations(deployment, scenario)
     if violations:
         raise InfeasibleDeploymentError(violations)
-    codebook = build_codebook(deployment, scenario)
-    report = max_weighted_correlation(codebook)
-    i, j = report.arg_pair
+    report, worst_pair = _worst_pair(deployment, scenario)
     max_rmse = _max_rmse(deployment, scenario, settings, threads) if settings.music else None
     rmse_cell = float("nan") if max_rmse is None else max_rmse
     summary = {
@@ -374,15 +373,11 @@ def run_evaluate(config: ExperimentConfig, deployment: Deployment, *, threads: i
         "node_count": deployment.node_count,
         "max_rho": report.max_value,
         "max_rmse": max_rmse,
-        "worst_pair": {
-            "indices": [i, j],
-            "point_i": [float(codebook.grid[i, 0]), float(codebook.grid[i, 1])],
-            "point_j": [float(codebook.grid[j, 0]), float(codebook.grid[j, 1])],
-        },
+        "worst_pair": worst_pair,
     }
     table = Table(
         ("max_rho", "worst_pair_i", "worst_pair_j", "max_rmse"),
-        ((report.max_value, i, j, rmse_cell),),
+        ((report.max_value, *report.arg_pair, rmse_cell),),
     )
     return ResultBundle(
         kind=settings.kind,
@@ -396,14 +391,16 @@ def run_evaluate(config: ExperimentConfig, deployment: Deployment, *, threads: i
 def run_experiment(
     config: ExperimentConfig, *, deployment: Deployment | None = None, threads: int = 1
 ) -> ResultBundle:
-    """Dispatch a config to its experiment driver."""
+    """Dispatch a config to its experiment driver; `threads` reaches only the
+    drivers that run a Monte Carlo."""
     kind = config.experiment.kind
+    if kind == "optimize":
+        return run_optimize(config)
     if kind == "evaluate":
         if deployment is None:
             raise ValueError("the evaluate experiment needs a deployment")
         return run_evaluate(config, deployment, threads=threads)
     runners = {
-        "optimize": run_optimize,
         "montecarlo": run_montecarlo,
         "alpha-sweep": run_alpha_sweep,
         "snr-sweep": run_snr_sweep,

@@ -7,17 +7,15 @@ projection (clamp to the bounding square, radially scale into the region
 disk, wrap angles), and elitism - the best N_e chromosomes carry over
 unchanged, with their fitness values cached.
 
-Random-stream layout is fixed so results are reproducible for a given seed
-and independent of evaluation parallelism: initialization draws P deployments
-in order; each generation draws, per offspring pair, two tournaments (one index
-block each), one crossover gate plus (only when the gate passes) one uniform
-block, then per child one mutation gate block and one mutation u block.
+Random-stream layout is fixed so results are reproducible for a given seed:
+initialization draws P deployments in order; each generation draws, per
+offspring pair, two tournaments (one index block each), one crossover gate
+plus (only when the gate passes) one uniform block, then per child one
+mutation gate block and one mutation u block.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,36 +243,21 @@ def polynomial_mutation(chromosome, eta_m: float, p_m: float, bounds: GeneBounds
     return np.where(is_wrap, wrapped, clamped)
 
 
-def run_ga(
-    scenario: Scenario, params: GaParams, rng: np.random.Generator, *, threads: int = 1
-) -> GaResult:
+def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> GaResult:
     """Evolve deployments against the worst-pair correlation metric.
 
     Per generation: P - N_e offspring from tournament parents via SBX +
     polynomial mutation + feasibility projection, plus the N_e best incumbents
     carried over with cached fitness. The best-fitness trace has one entry per
     generation plus the initial population, and is non-increasing by elitism.
-    Only fitness evaluation is parallelized (`threads`, one executor for the
-    whole run), so results depend only on the seed.
+    Fitness is evaluated serially, in population order; results depend only
+    on the seed.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as executor:
-        return _evolve(scenario, params, rng, executor)
-
-
-def _evolve(scenario: Scenario, params: GaParams, rng: np.random.Generator, executor) -> GaResult:
-    """The generation loop of `run_ga`; `executor` is None for serial evaluation."""
     bounds = deployment_bounds(scenario)
-
-    def evaluate_all(pool: list[np.ndarray]) -> np.ndarray:
-        evaluate = map if executor is None else executor.map
-        return np.asarray(list(evaluate(lambda g: fitness(g, scenario), pool)), dtype=float)
-
     population = [
         encode_deployment(random_deployment(scenario, rng)) for _ in range(params.population_size)
     ]
-    fitnesses = evaluate_all(population)
+    fitnesses = np.array([fitness(genes, scenario) for genes in population], dtype=float)
     evaluations = len(population)
     best_index = int(np.argmin(fitnesses))
     best_genes = population[best_index].copy()
@@ -302,7 +285,7 @@ def _evolve(scenario: Scenario, params: GaParams, rng: np.random.Generator, exec
         elite_order = np.argsort(fitnesses, kind="stable")[: params.elite_count]
         elites = [population[i] for i in elite_order]
         elite_fitnesses = fitnesses[elite_order]
-        offspring_fitnesses = evaluate_all(offspring)
+        offspring_fitnesses = np.array([fitness(genes, scenario) for genes in offspring], dtype=float)
         evaluations += len(offspring)
         population = elites + offspring
         fitnesses = np.concatenate([elite_fitnesses, offspring_fitnesses])

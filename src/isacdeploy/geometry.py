@@ -87,7 +87,7 @@ class Scenario:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        snr_to_powers(self.snr_db)  # finite, with a finite power 10^(snr_db/10)
+        snr_to_powers(self.snr_db)  # finite and at most signals.MAX_SNR_DB
         if not np.isfinite(self.alpha) or self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
         center = tuple(float(c) for c in self.region_center)

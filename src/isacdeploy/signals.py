@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_SNR_DB = 10.0 * float(np.log10(np.finfo(float).max / 2.0**64))
+"""Highest accepted SNR, about 2,889.9 dB: the source power 10^(snr/10) stays
+2^64 below the largest float, so the snapshot products and their sums over
+snapshots in `sample_covariance` stay finite."""
+
 
 @dataclass(frozen=True)
 class PowerLevels:
@@ -39,11 +44,12 @@ def snr_to_powers(snr_db: float) -> PowerLevels:
     """
     if not np.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db!r}")
-    try:
-        signal_power = 10.0 ** (float(snr_db) / 10.0)
-    except OverflowError:
-        raise ValueError(f"snr_db must be at most ~3082.5 dB (10^(snr_db/10) overflows a float), got {snr_db!r}") from None
-    return PowerLevels(signal_power, 1.0)
+    if snr_db > MAX_SNR_DB:
+        raise ValueError(
+            f"snr_db must be at most {MAX_SNR_DB:.1f} dB (a larger power overflows the sample covariance), "
+            f"got {snr_db!r}"
+        )
+    return PowerLevels(10.0 ** (float(snr_db) / 10.0), 1.0)
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:

@@ -115,17 +115,6 @@ class TestOptimizeCommand:
         assert main(["optimize", "--config", str(config_path), "--seed", "9"]) == 0
         assert (tmp_path / "runs" / "optimize-seed9" / "summary.json").exists()
 
-    def test_thread_count_does_not_change_the_results(self, tmp_path, config_path, monkeypatch):
-        serial = tmp_path / "serial"
-        flagged = tmp_path / "flagged"
-        via_env = tmp_path / "via-env"
-        main(["optimize", "--config", str(config_path), "--out", str(serial)])
-        main(["optimize", "--config", str(config_path), "--out", str(flagged), "--threads", "2"])
-        monkeypatch.setenv("ISAC_DEPLOY_THREADS", "3")
-        main(["optimize", "--config", str(config_path), "--out", str(via_env)])
-        reference = (serial / "convergence.csv").read_bytes()
-        assert (flagged / "convergence.csv").read_bytes() == reference
-        assert (via_env / "convergence.csv").read_bytes() == reference
 
 class TestMontecarloCommand:
     def test_scatter_rows_and_exit_zero(self, tmp_path, config_path):
@@ -189,6 +178,22 @@ class TestEvaluateCommand:
         assert float(cells[0]) == best_fitness
         assert read_summary(evaluate_out)["max_rho"] == best_fitness
         assert read_summary(evaluate_out)["checks"] == {}
+
+    def test_thread_count_does_not_change_the_results(self, tmp_path, config_path, monkeypatch):
+        deployment = tmp_path / "deployment.json"
+        deployment.write_text(json.dumps(deployment_to_dict(midpoint_baseline(Scenario(region_radius=4.0)))))
+        serial = tmp_path / "serial"
+        flagged = tmp_path / "flagged"
+        via_env = tmp_path / "via-env"
+        evaluate = ["evaluate", "--config", str(config_path), str(deployment), "--out"]
+        assert main(evaluate + [str(serial)]) == 0
+        assert main(evaluate + [str(flagged), "--threads", "2"]) == 0
+        monkeypatch.setenv("ISAC_DEPLOY_THREADS", "3")
+        assert main(evaluate + [str(via_env)]) == 0
+        reference = (serial / "evaluation.csv").read_bytes()
+        assert "nan" not in reference.decode()
+        assert (flagged / "evaluation.csv").read_bytes() == reference
+        assert (via_env / "evaluation.csv").read_bytes() == reference
 
     def test_infeasible_deployment_exits_two(self, tmp_path, config_path, capsys):
         path = tmp_path / "deployment.json"
@@ -255,17 +260,20 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("command", ["evaluate", "montecarlo"])
     def test_overflowing_scenario_snr_exits_two(self, tmp_path, command, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({**DESK_CONFIG, "scenario": {"region_radius": 4.0, "snr_db": 4000}}))
+        # 4000 dB overflows the power itself, 3070 dB only the sample covariance.
         deployment = tmp_path / "deployment.json"
         deployment.write_text(json.dumps(deployment_to_dict(midpoint_baseline(Scenario(region_radius=4.0)))))
-        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
-        assert main(argv + ([str(deployment)] if command == "evaluate" else [])) == 2
-        assert "scenario: snr_db" in capsys.readouterr().err
+        for snr_db in (4000, 3070):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({**DESK_CONFIG, "scenario": {"region_radius": 4.0, "snr_db": snr_db}}))
+            argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+            assert main(argv + ([str(deployment)] if command == "evaluate" else [])) == 2
+            assert "scenario: snr_db" in capsys.readouterr().err
 
     def test_overflowing_sweep_snr_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        experiment = {**DESK_CONFIG["experiment"], "snr_values_db": [4000.0, 0.0]}
-        path.write_text(json.dumps({**DESK_CONFIG, "experiment": experiment}))
-        assert main(["snr-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "experiment: snr_values_db[0]" in capsys.readouterr().err
+        for snr_db in (4000.0, 3070.0):
+            path = tmp_path / "config.json"
+            experiment = {**DESK_CONFIG["experiment"], "snr_values_db": [snr_db, 0.0]}
+            path.write_text(json.dumps({**DESK_CONFIG, "experiment": experiment}))
+            assert main(["snr-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert "experiment: snr_values_db[0]" in capsys.readouterr().err

@@ -22,7 +22,6 @@ from isacdeploy.correlation import (
     frobenius_separability,
     max_weighted_correlation,
     overlap_decompose,
-    pairwise_distances,
     pearson,
     weighted_correlation,
 )
@@ -447,7 +446,7 @@ class TestOverlapDecompose:
 class TestDistanceHelpers:
     def test_pairwise_distances(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
-        d = pairwise_distances(pts)
+        d = distance_weights(pts, 1.0)
         assert d[0, 1] == 5.0
         assert d[0, 2] == 1.0
         assert np.array_equal(d, d.T)

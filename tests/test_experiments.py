@@ -135,8 +135,8 @@ class TestRunOptimize:
         config = desk_config("optimize")
         assert deployment_violations(bundle.deployments["optimized"], config.scenario) == []
 
-    def test_deterministic_across_runs_and_threads(self, bundle):
-        again = run_optimize(desk_config("optimize"), threads=3)
+    def test_deterministic_across_runs(self, bundle):
+        again = run_optimize(desk_config("optimize"))
         assert again.summary["best_fitness"] == bundle.summary["best_fitness"]
         np.testing.assert_array_equal(
             again.deployments["optimized"].as_array(),

@@ -7,14 +7,12 @@ and feasibility of every result.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacdeploy import ga
 from isacdeploy.correlation import build_codebook, max_weighted_correlation
 from isacdeploy.ga import (
     GaParams,
@@ -365,37 +363,6 @@ class TestRunGa:
         assert again.best_fitness == desk_result.best_fitness
         assert np.array_equal(again.trace, desk_result.trace)
         assert again.evaluations == desk_result.evaluations
-
-    def test_threaded_evaluation_matches_serial(self, small_scenario, desk_params, desk_result):
-        threaded = run_ga(small_scenario, desk_params, np.random.default_rng(13), threads=4)
-        assert np.array_equal(threaded.best, desk_result.best)
-        assert np.array_equal(threaded.trace, desk_result.trace)
-
-    def test_one_executor_per_threaded_run_shut_down_on_every_exit(self, small_scenario, monkeypatch):
-        executors = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.closed = False
-                executors.append(self)
-
-            def shutdown(self, *args, **kwargs):
-                self.closed = True
-                super().shutdown(*args, **kwargs)
-
-        monkeypatch.setattr(ga, "ThreadPoolExecutor", Recording)
-        params = GaParams(population_size=6, elite_count=2, max_generations=3)
-        run_ga(small_scenario, params, np.random.default_rng(16), threads=2)
-        assert [e.closed for e in executors] == [True]
-
-        def broken(chromosome, scenario):
-            raise RuntimeError("evaluation failed")
-
-        monkeypatch.setattr(ga, "fitness", broken)
-        with pytest.raises(RuntimeError):
-            run_ga(small_scenario, params, np.random.default_rng(16), threads=2)
-        assert [e.closed for e in executors] == [True, True]
 
     def test_trace_monotone_and_accounted(self, desk_params, desk_result):
         assert desk_result.trace.shape == (13,)

@@ -42,10 +42,14 @@ class TestPowers:
         with pytest.raises(ValueError):
             snr_to_powers(float("nan"))
 
-    def test_rejects_a_level_whose_power_overflows(self):
-        assert np.isfinite(snr_to_powers(3082.5).signal_power)
-        for snr_db in (3082.6, 4000, np.float64(4000.0)):
-            with pytest.raises(ValueError, match="snr_db must be at most"):
+    def test_rejects_a_level_whose_power_overflows(self, reference_steering):
+        # At the limit the sample covariance and its spectrum stay finite.
+        powers = snr_to_powers(2889.8)
+        cov = sample_covariance(generate_snapshots(reference_steering, powers, 200, np.random.default_rng(3)))
+        assert np.all(np.isfinite(cov)) and np.all(np.isfinite(np.linalg.eigvalsh(cov)))
+        # 3070 dB has a finite power but overflowed the covariance; 3082.6 dB overflowed the power.
+        for snr_db in (2890.0, 3070.0, 3082.6, 4000, np.float64(4000.0)):
+            with pytest.raises(ValueError, match="snr_db must be at most 2889.9 dB"):
                 snr_to_powers(snr_db)
 
     def test_power_levels_reject_negative(self):
