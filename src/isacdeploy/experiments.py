@@ -4,6 +4,13 @@ evaluation. Each returns a ResultBundle: a JSON-ready summary, named tables
 for CSV emission, any deployments worth persisting, and the pass/fail run
 checks that gate the process exit code.
 
+The drivers share four helpers. `_deployments` builds the placements a
+comparison needs: the named ones ("optimized" from one GA run and, for
+three-node scenarios, the "midpoint" baseline) and the random ensemble.
+`_spread` gives an ensemble's best/mean/worst, `_max_rho`/`_worst_pair` and
+`_max_rmse` give the two metrics, and `_bundle` puts `kind` and `seed` first
+in every summary.
+
 Seed scheme: every stochastic ingredient derives an independent generator
 from the master seed plus a fixed integer key path - (0, ...) for GA runs,
 (1, ...) for random-deployment ensembles (one stream per deployment, so
@@ -19,16 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, ExperimentSettings
 from .correlation import CorrelationReport, build_codebook, max_weighted_correlation, pearson
 from .ga import decode_chromosome, run_ga
-from .geometry import (
-    Deployment,
-    Scenario,
-    deployment_violations,
-    midpoint_baseline,
-    random_deployment,
-)
+from .geometry import Deployment, deployment_violations, midpoint_baseline, random_deployment
 from .music import rmse_map
 
 _GA_STREAM = 0
@@ -69,11 +70,16 @@ class Table:
 class ResultBundle:
     """Everything one experiment run produces, ready for serialization."""
 
-    kind: str
     summary: dict
     tables: dict[str, Table]
     deployments: dict[str, Deployment]
     checks: dict[str, bool]
+
+
+def _bundle(settings: ExperimentSettings, summary: dict, tables, deployments, checks) -> ResultBundle:
+    """ResultBundle whose summary starts with the experiment kind and seed."""
+    summary = {"kind": settings.kind, "seed": settings.seed, **summary}
+    return ResultBundle(summary, tables, deployments, checks)
 
 
 def _max_rho(deployment, scenario) -> float:
@@ -81,14 +87,13 @@ def _max_rho(deployment, scenario) -> float:
 
 
 def _max_rmse(deployment, scenario, settings, threads: int) -> float:
-    stats = rmse_map(
-        deployment,
-        scenario,
-        settings.trials_per_point,
-        derived_rng(settings.seed, _NOISE_STREAM),
-        threads=threads,
-    )
-    return stats.max_rmse
+    rng = derived_rng(settings.seed, _NOISE_STREAM)
+    return rmse_map(deployment, scenario, settings.trials_per_point, rng, threads=threads).max_rmse
+
+
+def _spread(values) -> dict[str, float]:
+    """Best (lowest), mean and worst (highest) of an ensemble's metric values."""
+    return {"best": min(values), "mean": float(np.mean(values)), "worst": max(values)}
 
 
 def _random_ensemble(scenario, settings, *key_prefix: int) -> list[Deployment]:
@@ -98,9 +103,19 @@ def _random_ensemble(scenario, settings, *key_prefix: int) -> list[Deployment]:
     ]
 
 
-def _optimize(config: ExperimentConfig, *key_suffix: int):
-    rng = derived_rng(config.experiment.seed, _GA_STREAM, *key_suffix)
-    return run_ga(config.scenario, config.ga, rng)
+def _deployments(config: ExperimentConfig, *key: int) -> tuple[dict[str, Deployment], list[Deployment]]:
+    """Named deployments and the random ensemble of one scenario.
+
+    The named ones are "optimized" (the best of one GA run) and, for
+    three-node scenarios, where it is defined, the "midpoint" baseline. `key`
+    extends the GA and ensemble stream keys (node-sweep passes the node count).
+    """
+    scenario, settings = config.scenario, config.experiment
+    result = run_ga(scenario, config.ga, derived_rng(settings.seed, _GA_STREAM, *key))
+    named = {"optimized": decode_chromosome(result.best)}
+    if scenario.node_count == 3:
+        named["midpoint"] = midpoint_baseline(scenario)
+    return named, _random_ensemble(scenario, settings, *key)
 
 
 def _worst_pair(deployment, scenario) -> tuple[CorrelationReport, dict]:
@@ -114,13 +129,10 @@ def _worst_pair(deployment, scenario) -> tuple[CorrelationReport, dict]:
 def run_optimize(config: ExperimentConfig) -> ResultBundle:
     """GA optimization: convergence trace plus the optimized deployment."""
     scenario, settings = config.scenario, config.experiment
-    result = _optimize(config)
+    result = run_ga(scenario, config.ga, derived_rng(settings.seed, _GA_STREAM))
     best = decode_chromosome(result.best)
     _, worst_pair = _worst_pair(best, scenario)
-    trace_rows = tuple((generation, float(value)) for generation, value in enumerate(result.trace))
     summary = {
-        "kind": settings.kind,
-        "seed": settings.seed,
         "best_fitness": result.best_fitness,
         "evaluations": result.evaluations,
         "generations": config.ga.max_generations,
@@ -131,13 +143,9 @@ def run_optimize(config: ExperimentConfig) -> ResultBundle:
         "trace_length_matches_generations": result.trace.size == config.ga.max_generations + 1,
         "best_deployment_feasible": deployment_violations(best, scenario) == [],
     }
-    return ResultBundle(
-        kind=settings.kind,
-        summary=summary,
-        tables={"convergence": Table(("generation", "best_fitness"), trace_rows)},
-        deployments={"optimized": best},
-        checks=checks,
-    )
+    trace_rows = [(generation, float(value)) for generation, value in enumerate(result.trace)]
+    tables = {"convergence": Table(("generation", "best_fitness"), trace_rows)}
+    return _bundle(settings, summary, tables, {"optimized": best}, checks)
 
 
 def run_montecarlo(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle:
@@ -149,56 +157,35 @@ def run_montecarlo(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
     three-node scenarios, where that deployment is defined.
     """
     scenario, settings = config.scenario, config.experiment
-    entries: list[tuple[str, Deployment]] = []
-    optimized = decode_chromosome(_optimize(config).best)
-    entries.append(("optimized", optimized))
-    deployments_out = {"optimized": optimized}
-    if scenario.node_count == 3:
-        baseline = midpoint_baseline(scenario)
-        entries.append(("midpoint", baseline))
-        deployments_out["midpoint"] = baseline
-    entries.extend(
-        (f"random-{k}", dep) for k, dep in enumerate(_random_ensemble(scenario, settings))
-    )
+    named, ensemble = _deployments(config)
+    entries = {**named, **{f"random-{k}": dep for k, dep in enumerate(ensemble)}}
     rows = []
-    rho_by_id = {}
-    rmse_by_id = {}
-    for name, deployment in entries:
-        rho = _max_rho(deployment, scenario)
+    for name, deployment in entries.items():
         rmse = _max_rmse(deployment, scenario, settings, threads) if settings.music else float("nan")
-        rho_by_id[name] = rho
-        rmse_by_id[name] = rmse
-        rows.append((name, rho, rmse))
-    random_ids = [name for name, _ in entries if name.startswith("random-")]
-    random_rhos = [rho_by_id[name] for name in random_ids]
+        rows.append((name, _max_rho(deployment, scenario), rmse))
+    rho_by_id = {name: rho for name, rho, _ in rows}
+    random_rows = rows[len(named):]
+    random_rhos = [rho for _, rho, _ in random_rows]
     gamma = None
-    if settings.music and len(random_ids) >= 2:
-        gamma = pearson(random_rhos, [rmse_by_id[name] for name in random_ids])
-    checks = {
-        "optimized_has_lowest_max_rho": rho_by_id["optimized"] <= min(rho_by_id.values()),
-    }
+    if settings.music and len(random_rows) >= 2:
+        gamma = pearson(random_rhos, [rmse for _, _, rmse in random_rows])
+    checks = {"optimized_has_lowest_max_rho": rho_by_id["optimized"] <= min(rho_by_id.values())}
     if "midpoint" in rho_by_id:
-        checks["midpoint_row_present_once"] = [name for name, _ in entries].count("midpoint") == 1
-    if gamma is not None and len(random_ids) >= 100:
+        checks["midpoint_row_present_once"] = [row[0] for row in rows].count("midpoint") == 1
+    if gamma is not None and len(random_rows) >= 100:
         checks["pearson_gamma_positive"] = gamma > 0.0
+    random_spread = _spread(random_rhos)
     summary = {
-        "kind": settings.kind,
-        "seed": settings.seed,
         "music": settings.music,
         "optimized_max_rho": rho_by_id["optimized"],
         "midpoint_max_rho": rho_by_id.get("midpoint"),
-        "random_deployment_count": len(random_ids),
-        "random_min_max_rho": min(random_rhos),
-        "random_mean_max_rho": float(np.mean(random_rhos)),
+        "random_deployment_count": len(random_rows),
+        "random_min_max_rho": random_spread["best"],
+        "random_mean_max_rho": random_spread["mean"],
         "pearson_gamma": gamma,
     }
-    return ResultBundle(
-        kind=settings.kind,
-        summary=summary,
-        tables={"scatter": Table(("deployment_id", "max_rho", "max_rmse"), tuple(rows))},
-        deployments=deployments_out,
-        checks=checks,
-    )
+    tables = {"scatter": Table(("deployment_id", "max_rho", "max_rmse"), rows)}
+    return _bundle(settings, summary, tables, named, checks)
 
 
 def run_alpha_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle:
@@ -221,20 +208,13 @@ def run_alpha_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBund
         rows.append((alpha, gamma))
     peak_alpha = max(gamma_by_alpha, key=gamma_by_alpha.get)
     summary = {
-        "kind": settings.kind,
-        "seed": settings.seed,
         "deployment_count": len(ensemble),
         "peak_alpha": peak_alpha,
         "peak_gamma": gamma_by_alpha[peak_alpha],
     }
     checks = {"gamma_positive_for_all_alpha": all(g > 0.0 for g in gamma_by_alpha.values())}
-    return ResultBundle(
-        kind=settings.kind,
-        summary=summary,
-        tables={"gamma": Table(("alpha", "gamma"), tuple(rows))},
-        deployments={},
-        checks=checks,
-    )
+    tables = {"gamma": Table(("alpha", "gamma"), rows)}
+    return _bundle(settings, summary, tables, {}, checks)
 
 
 def run_snr_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle:
@@ -244,37 +224,24 @@ def run_snr_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle
     sweep isolates deployment and SNR effects from Monte Carlo noise.
     """
     scenario, settings = config.scenario, config.experiment
-    optimized = decode_chromosome(_optimize(config).best)
-    deployments_out = {"optimized": optimized}
-    baseline = None
-    if scenario.node_count == 3:
-        baseline = midpoint_baseline(scenario)
-        deployments_out["midpoint"] = baseline
-    ensemble = _random_ensemble(scenario, settings)
+    named, ensemble = _deployments(config)
     rows = []
-    curves: dict[str, list[float]] = {"optimized": [], "midpoint": []}
+    curves: dict[str, list[float]] = {name: [] for name in named}
     for snr_db in settings.snr_values_db:
         at_snr = replace(scenario, snr_db=float(snr_db))
-        value = _max_rmse(optimized, at_snr, settings, threads)
-        curves["optimized"].append(value)
-        rows.append((snr_db, "optimized", value))
-        if baseline is not None:
-            value = _max_rmse(baseline, at_snr, settings, threads)
-            curves["midpoint"].append(value)
-            rows.append((snr_db, "midpoint", value))
-        random_values = [_max_rmse(dep, at_snr, settings, threads) for dep in ensemble]
-        rows.append((snr_db, "random-best", min(random_values)))
-        rows.append((snr_db, "random-mean", float(np.mean(random_values))))
-        rows.append((snr_db, "random-worst", max(random_values)))
+        for name, deployment in named.items():
+            value = _max_rmse(deployment, at_snr, settings, threads)
+            curves[name].append(value)
+            rows.append((snr_db, name, value))
+        spread = _spread([_max_rmse(dep, at_snr, settings, threads) for dep in ensemble])
+        rows.extend((snr_db, f"random-{stat}", value) for stat, value in spread.items())
     summary = {
-        "kind": settings.kind,
-        "seed": settings.seed,
         "snr_values_db": list(settings.snr_values_db),
         "lowest_snr_db": min(settings.snr_values_db),
         "highest_snr_db": max(settings.snr_values_db),
     }
     checks = {}
-    if baseline is not None:
+    if "midpoint" in curves:
         low = int(np.argmin(settings.snr_values_db))
         high = int(np.argmax(settings.snr_values_db))
         gap_low = curves["midpoint"][low] - curves["optimized"][low]
@@ -285,13 +252,8 @@ def run_snr_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle
             curves["optimized"][low] <= curves["midpoint"][low]
         )
         checks["gap_narrows_with_snr"] = gap_low >= gap_high
-    return ResultBundle(
-        kind=settings.kind,
-        summary=summary,
-        tables={"snr": Table(("snr_db", "strategy", "max_rmse"), tuple(rows))},
-        deployments=deployments_out,
-        checks=checks,
-    )
+    tables = {"snr": Table(("snr_db", "strategy", "max_rmse"), rows)}
+    return _bundle(settings, summary, tables, named, checks)
 
 
 def run_node_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle:
@@ -304,57 +266,41 @@ def run_node_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
     """
     scenario, settings = config.scenario, config.experiment
     rows = []
-    mean_rho = []
-    optimized_leq_best = []
-    summary_by_count = {}
+    per_count = []
     deployments_out = {}
     for node_count in settings.node_counts:
         at_count = replace(scenario, node_count=node_count)
-        result = _optimize(replace(config, scenario=at_count), node_count)
-        optimized = decode_chromosome(result.best)
-        deployments_out[f"optimized-j{node_count}"] = optimized
-        ensemble = _random_ensemble(at_count, settings, node_count)
-        rho_values = [_max_rho(dep, at_count) for dep in ensemble]
-        rows.append((node_count, "optimized", "max_rho", result.best_fitness))
-        rows.append((node_count, "best", "max_rho", min(rho_values)))
-        rows.append((node_count, "worst", "max_rho", max(rho_values)))
-        rows.append((node_count, "mean", "max_rho", float(np.mean(rho_values))))
-        stats = {
-            "optimized_max_rho": result.best_fitness,
-            "ensemble_best_max_rho": min(rho_values),
-            "ensemble_mean_max_rho": float(np.mean(rho_values)),
-        }
+        named, ensemble = _deployments(replace(config, scenario=at_count), node_count)
+        optimized = deployments_out[f"optimized-j{node_count}"] = named["optimized"]
+        compared = [optimized, *ensemble]
+        metrics = {"max_rho": [_max_rho(dep, at_count) for dep in compared]}
         if settings.music:
-            opt_rmse = _max_rmse(optimized, at_count, settings, threads)
-            rmse_values = [_max_rmse(dep, at_count, settings, threads) for dep in ensemble]
-            rows.append((node_count, "optimized", "max_rmse", opt_rmse))
-            rows.append((node_count, "best", "max_rmse", min(rmse_values)))
-            rows.append((node_count, "worst", "max_rmse", max(rmse_values)))
-            rows.append((node_count, "mean", "max_rmse", float(np.mean(rmse_values))))
-            stats["optimized_max_rmse"] = opt_rmse
-            stats["ensemble_mean_max_rmse"] = float(np.mean(rmse_values))
-        mean_rho.append(float(np.mean(rho_values)))
-        optimized_leq_best.append(result.best_fitness <= min(rho_values))
-        summary_by_count[str(node_count)] = stats
+            metrics["max_rmse"] = [_max_rmse(dep, at_count, settings, threads) for dep in compared]
+        stats = {}
+        for metric, (value, *ensemble_values) in metrics.items():
+            spread = {"optimized": value, **_spread(ensemble_values)}
+            for stat in ("optimized", "best", "worst", "mean"):
+                rows.append((node_count, stat, metric, spread[stat]))
+            stats[f"optimized_{metric}"] = value
+            if metric == "max_rho":
+                stats["ensemble_best_max_rho"] = spread["best"]
+            stats[f"ensemble_mean_{metric}"] = spread["mean"]
+        per_count.append(stats)
     checks = {
-        "optimized_leq_ensemble_best_max_rho": all(optimized_leq_best),
+        "optimized_leq_ensemble_best_max_rho": all(
+            stats["optimized_max_rho"] <= stats["ensemble_best_max_rho"] for stats in per_count
+        ),
         "mean_max_rho_decreases_with_node_count": all(
-            later < earlier for earlier, later in zip(mean_rho, mean_rho[1:])
+            later["ensemble_mean_max_rho"] < earlier["ensemble_mean_max_rho"]
+            for earlier, later in zip(per_count, per_count[1:])
         ),
     }
     summary = {
-        "kind": settings.kind,
-        "seed": settings.seed,
         "node_counts": list(settings.node_counts),
-        "by_node_count": summary_by_count,
+        "by_node_count": {str(j): stats for j, stats in zip(settings.node_counts, per_count)},
     }
-    return ResultBundle(
-        kind=settings.kind,
-        summary=summary,
-        tables={"node_stats": Table(("node_count", "stat", "metric", "value"), tuple(rows))},
-        deployments=deployments_out,
-        checks=checks,
-    )
+    tables = {"node_stats": Table(("node_count", "stat", "metric", "value"), rows)}
+    return _bundle(settings, summary, tables, deployments_out, checks)
 
 
 def run_evaluate(config: ExperimentConfig, deployment: Deployment, *, threads: int = 1) -> ResultBundle:
@@ -367,8 +313,6 @@ def run_evaluate(config: ExperimentConfig, deployment: Deployment, *, threads: i
     max_rmse = _max_rmse(deployment, scenario, settings, threads) if settings.music else None
     rmse_cell = float("nan") if max_rmse is None else max_rmse
     summary = {
-        "kind": settings.kind,
-        "seed": settings.seed,
         "music": settings.music,
         "node_count": deployment.node_count,
         "max_rho": report.max_value,
@@ -379,13 +323,7 @@ def run_evaluate(config: ExperimentConfig, deployment: Deployment, *, threads: i
         ("max_rho", "worst_pair_i", "worst_pair_j", "max_rmse"),
         ((report.max_value, *report.arg_pair, rmse_cell),),
     )
-    return ResultBundle(
-        kind=settings.kind,
-        summary=summary,
-        tables={"evaluation": table},
-        deployments={},
-        checks={},
-    )
+    return _bundle(settings, summary, {"evaluation": table}, {}, {})
 
 
 def run_experiment(

@@ -26,6 +26,7 @@ from .geometry import (
     DegenerateGeometryError,
     Deployment,
     Scenario,
+    integer_at_least,
     random_deployment,
     wrap_angle,
 )
@@ -33,24 +34,20 @@ from .geometry import (
 
 @dataclass(frozen=True, eq=False)
 class GeneBounds:
-    """Per-gene box bounds and projection kind ('clamp' or 'wrap')."""
+    """Per-gene box bounds [lower, upper] of the polynomial mutation law."""
 
     lower: np.ndarray
     upper: np.ndarray
-    kinds: tuple[str, ...]
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
         upper = np.asarray(self.upper, dtype=float)
-        if lower.ndim != 1 or lower.shape != upper.shape or len(self.kinds) != lower.size:
-            raise ValueError("lower, upper and kinds must have one entry per gene")
+        if lower.ndim != 1 or lower.shape != upper.shape:
+            raise ValueError("lower and upper must have one entry per gene")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
-        if not all(kind in ("clamp", "wrap") for kind in self.kinds):
-            raise ValueError(f"gene kinds must be 'clamp' or 'wrap', got {self.kinds!r}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "kinds", tuple(self.kinds))
 
 
 @dataclass(frozen=True)
@@ -67,9 +64,10 @@ class GaParams:
     max_generations: int = 500
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if not 0 <= self.elite_count < self.population_size:
+        minimums = {"population_size": 2, "elite_count": 0, "tournament_size": 1, "max_generations": 0}
+        for name, minimum in minimums.items():
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), minimum))
+        if self.elite_count >= self.population_size:
             raise ValueError("elite_count must be in [0, population_size)")
         offspring = self.population_size - self.elite_count
         if offspring < 2 or offspring % 2:
@@ -82,10 +80,6 @@ class GaParams:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
-        if self.max_generations < 0:
-            raise ValueError("max_generations must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +120,13 @@ def decode_chromosome(genes) -> Deployment:
 
 
 def deployment_bounds(scenario: Scenario) -> GeneBounds:
-    """Per-gene box bounds for J nodes: positions clamp to the bounding
-    square of the region disk, angles wrap on [0, 2*pi)."""
+    """Per-gene box bounds for J nodes: positions span the bounding square
+    of the region disk, angles [0, 2*pi]."""
     cx, cy = scenario.region_center
     r = scenario.region_radius
     lower = np.tile([cx - r, cy - r, 0.0], scenario.node_count)
     upper = np.tile([cx + r, cy + r, TWO_PI], scenario.node_count)
-    return GeneBounds(lower=lower, upper=upper, kinds=("clamp", "clamp", "wrap") * scenario.node_count)
+    return GeneBounds(lower=lower, upper=upper)
 
 
 def project_feasible(genes, scenario: Scenario) -> np.ndarray:
@@ -216,8 +210,9 @@ def polynomial_mutation(chromosome, eta_m: float, p_m: float, bounds: GeneBounds
     (both always consumed). For a mutated gene at z in [L, U], the
     perturbation delta follows the two-branch polynomial law with distance
     fractions delta_1 = (z-L)/(U-L), delta_2 = (U-z)/(U-L) and exponent
-    1/(eta_m+1); the new gene is z + delta*(U-L), clamped or wrapped per the
-    gene's kind.
+    1/(eta_m+1); the new gene is z + delta*(U-L). The result is not
+    projected: `run_ga` passes every mutated child through `project_feasible`,
+    which clamps positions and wraps angles.
     """
     z = np.array(chromosome, dtype=float)
     lower, upper = bounds.lower, bounds.upper
@@ -235,12 +230,7 @@ def polynomial_mutation(chromosome, eta_m: float, p_m: float, bounds: GeneBounds
     delta_low = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - frac_low) ** power) ** exponent - 1.0
     delta_high = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - frac_high) ** power) ** exponent
     delta = np.where(u <= 0.5, delta_low, delta_high)
-    mutated = np.where(gates, z + delta * span, z)
-    clamped = np.clip(mutated, lower, upper)
-    shifted = np.mod(mutated - lower, span)
-    wrapped = lower + np.where(shifted >= span, 0.0, shifted)
-    is_wrap = np.array([kind == "wrap" for kind in bounds.kinds])
-    return np.where(is_wrap, wrapped, clamped)
+    return np.where(gates, z + delta * span, z)
 
 
 def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> GaResult:

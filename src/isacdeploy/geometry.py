@@ -21,6 +21,13 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 TWO_PI = 2.0 * np.pi
 
+MAX_GRID_POINTS = 10_000
+"""Largest coverage grid a scenario may have. The worst-pair metric keeps one
+n x n float64 weight matrix per grid, n^2 * 8 bytes: 113 MB at a 0.25 m
+reference grid (n = 3,761), 800 MB at this limit and 4.4 GB at 0.1 m
+(n = 23,565), more than half of an 8 GB machine. Larger grids are rejected
+when the scenario is built, before any O(n^2) array exists."""
+
 
 class DegenerateGeometryError(ValueError):
     """A target position coincides with an antenna element (zero range)."""
@@ -35,6 +42,18 @@ def wavelength_of(frequency: float) -> float:
     if not np.isfinite(frequency) or frequency <= 0.0:
         raise ValueError(f"carrier frequency must be positive and finite, got {frequency!r}")
     return SPEED_OF_LIGHT / frequency
+
+
+def integer_at_least(name: str, value, minimum: int) -> int:
+    """`value` as an int if it is integral (8 and 8.0 pass; 2.5, inf and "8"
+    do not) and at least `minimum`; otherwise a ValueError naming `name`."""
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def wrap_angle(theta):
@@ -79,14 +98,17 @@ class Scenario:
         if not np.isfinite(self.carrier_frequency) or self.carrier_frequency <= 0:
             raise ValueError("carrier_frequency must be positive")
         for name in ("antennas_per_node", "node_count", "snapshot_count"):
-            value = getattr(self, name)
-            if int(value) != value or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 1))
         for name in ("region_radius", "grid_resolution"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        if _grid_point_count(self.region_radius, self.grid_resolution) > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid_resolution {self.grid_resolution!r} gives more than MAX_GRID_POINTS = "
+                f"{MAX_GRID_POINTS} grid points for region_radius {float(self.region_radius):.6g} "
+                "(the pair weights take n^2 * 8 bytes)"
+            )
         snr_to_powers(self.snr_db)  # finite and at most signals.MAX_SNR_DB
         if not np.isfinite(self.alpha) or self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
@@ -219,6 +241,19 @@ def coverage_grid(center, radius: float, resolution: float) -> np.ndarray:
     xx, yy = np.meshgrid(steps, steps)
     keep = np.hypot(xx, yy) <= radius
     return np.column_stack((cx + xx[keep], cy + yy[keep]))
+
+
+def _grid_point_count(radius: float, resolution: float) -> float:
+    """Number of `coverage_grid` points, or inf when it surely exceeds MAX_GRID_POINTS.
+
+    Lattice points with |i|, |j| <= m / 1.5 (m = radius / resolution) lie well
+    inside the disk, so a grid whose inner square alone is too large is never
+    built; any other grid has at most about 1.8 * MAX_GRID_POINTS points.
+    """
+    inner_side = 2.0 * np.floor(float(radius) / float(resolution) / 1.5) + 1.0
+    if inner_side > np.sqrt(MAX_GRID_POINTS):
+        return float("inf")
+    return len(coverage_grid((0.0, 0.0), radius, resolution))
 
 
 def midpoint_baseline(scenario: Scenario) -> Deployment:

@@ -19,6 +19,7 @@ across deployments and SNR levels - paired comparisons see the same noise.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -106,7 +107,8 @@ def rmse_map(
 
     Each grid point gets its own child stream spawned from `rng` in grid
     order, so results are reproducible for a given seed, independent of
-    `threads`, and use common random numbers across deployments.
+    `threads`, and use common random numbers across deployments. The pool
+    has at most one worker per CPU core, however large `threads` is.
     `powers` overrides the scenario SNR (e.g. a zero noise power).
     """
     if trials < 1:
@@ -123,8 +125,9 @@ def rmse_map(
     def run_point(i: int) -> None:
         per_point[i] = _point_rmse(codebook, i, scenario.snapshot_count, trials, powers, streams[i])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_point, range(n)))
     else:
         for i in range(n):

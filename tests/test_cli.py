@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from isacdeploy import correlation
 from isacdeploy.cli import main
 from isacdeploy.config import deployment_to_dict
 from isacdeploy.geometry import Scenario, midpoint_baseline
@@ -269,6 +270,35 @@ class TestBadInputs:
             argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
             assert main(argv + ([str(deployment)] if command == "evaluate" else [])) == 2
             assert "scenario: snr_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ga, code",
+        [
+            ({"max_generations": 2.5}, 2),
+            ({"population_size": 8.0}, 0),
+            ({"tournament_size": 2.5}, 2),
+            ({"elite_count": 2.0}, 0),
+        ],
+    )
+    def test_fractional_ga_settings_exit_two_integral_ones_run(self, tmp_path, ga, code, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**DESK_CONFIG, "ga": {**DESK_CONFIG["ga"], **ga}}))
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+        if code == 2:
+            assert f"ga: {next(iter(ga))} must be an integer" in capsys.readouterr().err
+        else:
+            echoed = json.loads((tmp_path / "out" / "config-echo.json").read_text())["ga"]
+            assert all(type(echoed[key]) is int for key in ga)
+
+    def test_oversize_grid_exits_two(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the weight matrix must not be built")
+
+        monkeypatch.setattr(correlation, "_grid_weights", refuse)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": {"grid_resolution": 0.1}}))
+        assert main(["evaluate", "--config", str(path), str(tmp_path / "unread.json")]) == 2
+        assert "scenario: grid_resolution 0.1" in capsys.readouterr().err
 
     def test_overflowing_sweep_snr_exits_two(self, tmp_path, capsys):
         for snr_db in (4000.0, 3070.0):

@@ -18,6 +18,7 @@ from isacdeploy.config import (
     parse_deployment,
     with_seed,
 )
+from isacdeploy import correlation
 from isacdeploy.ga import GaParams
 from isacdeploy.geometry import Deployment, NodePose, Scenario, wavelength_of
 
@@ -142,6 +143,52 @@ class TestParseConfig:
     def test_ga_validation_errors_carry_the_block_name(self):
         with pytest.raises(ConfigError, match="ga:"):
             parse_config({"ga": {"population_size": 1}}, expected_kind="optimize")
+
+    @pytest.mark.parametrize(
+        "field", ["population_size", "elite_count", "tournament_size", "max_generations"]
+    )
+    @pytest.mark.parametrize("bad", [2.5, math.inf, math.nan, "4"])
+    def test_ga_integer_fields_must_be_integral(self, field, bad):
+        with pytest.raises(ConfigError, match=rf"ga: {field} must be an integer >= \d, got"):
+            parse_config({"ga": {field: bad}}, expected_kind="optimize")
+
+    def test_integral_floats_become_integers(self):
+        ga = {"population_size": 8.0, "elite_count": 2.0, "tournament_size": 3.0, "max_generations": 4.0}
+        config = parse_config({"ga": ga, "scenario": {"node_count": 3.0}}, expected_kind="optimize")
+        assert config.ga == GaParams(population_size=8, elite_count=2, tournament_size=3, max_generations=4)
+        echoed = config_to_dict(config)["ga"]
+        assert all(type(echoed[key]) is int for key in ga)
+        assert type(config.scenario.node_count) is int
+
+    def test_infinite_scenario_integer_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="scenario: node_count must be an integer"):
+            parse_config({"scenario": {"node_count": math.inf}}, expected_kind="optimize")
+
+
+class TestGridSizeLimit:
+    """Grids above MAX_GRID_POINTS are rejected while parsing; no weight matrix is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_weight_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the weight matrix must not be built")
+
+        monkeypatch.setattr(correlation, "_grid_weights", refuse)
+
+    def test_the_fine_benchmark_grid_passes(self):
+        config = parse_config({"scenario": {"grid_resolution": 0.25}}, expected_kind="optimize")
+        assert config.scenario.grid_resolution == 0.25
+
+    @pytest.mark.parametrize("resolution", [0.15, 0.1, 1e-300])
+    def test_oversize_grids_name_the_resolution(self, resolution):
+        with pytest.raises(ConfigError, match=r"scenario: grid_resolution .* MAX_GRID_POINTS = 10000"):
+            parse_config({"scenario": {"grid_resolution": resolution}}, expected_kind="optimize")
+
+    def test_limit_applies_to_the_point_count(self):
+        # 0.153 m gives 10,057 points in the reference region and 0.155 m gives 9,785
+        Scenario(grid_resolution=0.155)
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            Scenario(grid_resolution=0.153)
 
 
 class TestLoadConfig:

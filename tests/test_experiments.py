@@ -1,6 +1,7 @@
 """Tests for the experiment drivers and their result bundles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ class TestRunOptimize:
 
     def test_bundle_shape(self, bundle):
         assert isinstance(bundle, ResultBundle)
-        assert bundle.kind == "optimize"
+        assert bundle.summary["kind"] == "optimize"
         assert set(bundle.tables) == {"convergence"}
         assert set(bundle.deployments) == {"optimized"}
 
@@ -307,6 +308,13 @@ class TestRunNodeSweep:
         assert stats["ensemble_best_max_rho"] == by_key[(2, "best", "max_rho")]
         assert stats["ensemble_mean_max_rmse"] == by_key[(2, "mean", "max_rmse")]
 
+    def test_optimized_max_rho_matches_the_saved_deployment(self, bundle):
+        for node_count in (2, 3):
+            scenario = replace(desk_config("node-sweep").scenario, node_count=node_count)
+            saved = bundle.deployments[f"optimized-j{node_count}"]
+            recomputed = max_weighted_correlation(build_codebook(saved, scenario)).max_value
+            assert bundle.summary["by_node_count"][str(node_count)]["optimized_max_rho"] == recomputed
+
     def test_music_off_drops_the_rmse_rows(self):
         bundle = run_node_sweep(
             desk_config("node-sweep", experiment={"node_counts": [2], "music": False})
@@ -350,7 +358,7 @@ class TestRunEvaluate:
 class TestRunExperiment:
     def test_dispatches_by_kind(self):
         bundle = run_experiment(desk_config("optimize"))
-        assert bundle.kind == "optimize"
+        assert bundle.summary["kind"] == "optimize"
 
     def test_evaluate_needs_a_deployment(self):
         with pytest.raises(ValueError, match="deployment"):
@@ -360,7 +368,24 @@ class TestRunExperiment:
         deployment = Deployment((NodePose(0.0, 1.0, 0.0), NodePose(0.0, -1.0, 1.0)))
         config = desk_config("evaluate", scenario={"node_count": 2})
         bundle = run_experiment(config, deployment=deployment)
-        assert bundle.kind == "evaluate"
+        assert bundle.summary["kind"] == "evaluate"
+
+
+def test_every_summary_starts_with_kind_and_seed(
+    optimize_bundle, montecarlo_bundle, alpha_sweep_bundle, snr_sweep_bundle, node_sweep_bundle
+):
+    evaluated = run_evaluate(desk_config("evaluate"), montecarlo_bundle.deployments["optimized"])
+    bundles = {
+        "optimize": optimize_bundle,
+        "montecarlo": montecarlo_bundle,
+        "alpha-sweep": alpha_sweep_bundle,
+        "snr-sweep": snr_sweep_bundle,
+        "node-sweep": node_sweep_bundle,
+        "evaluate": evaluated,
+    }
+    for kind, bundle in bundles.items():
+        assert list(bundle.summary)[:2] == ["kind", "seed"]
+        assert (bundle.summary["kind"], bundle.summary["seed"]) == (kind, 7)
 
 
 class TestCommonRandomNumbers:

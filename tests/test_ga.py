@@ -98,13 +98,18 @@ class TestBoundsAndProjection:
         bounds = deployment_bounds(s)
         assert np.array_equal(bounds.lower, [3.0, -3.0, 0.0] * 3)
         assert np.array_equal(bounds.upper, [7.0, 1.0, TWO_PI] * 3)
-        assert bounds.kinds == ("clamp", "clamp", "wrap") * 3
+        # mutated and projected genes: positions in the square, angles in [0, 2*pi)
+        rng = np.random.default_rng(4)
+        for genes in (bounds.lower, bounds.upper, encode_deployment(random_deployment(s, rng))):
+            out = project_feasible(polynomial_mutation(genes, 20.0, 1.0, bounds, rng), s)
+            assert np.all(out >= bounds.lower) and np.all(out[0::3] <= 7.0) and np.all(out[1::3] <= 1.0)
+            assert np.all(out[2::3] < TWO_PI)
 
     def test_gene_bounds_validation(self):
         with pytest.raises(ValueError):
-            GeneBounds(lower=np.array([0.0]), upper=np.array([0.0]), kinds=("clamp",))
+            GeneBounds(lower=np.array([0.0]), upper=np.array([0.0]))
         with pytest.raises(ValueError):
-            GeneBounds(lower=np.array([0.0]), upper=np.array([1.0]), kinds=("middle",))
+            GeneBounds(lower=np.array([0.0]), upper=np.array([1.0, 2.0]))
 
     def test_projection_keeps_feasible_genes(self, small_scenario):
         dep = random_deployment(small_scenario, np.random.default_rng(2))
@@ -218,8 +223,8 @@ class TestSbxCrossover:
 # ---------------------------------------------------------------- mutation
 
 
-def unit_bounds(n, kind="clamp"):
-    return GeneBounds(lower=np.zeros(n), upper=np.ones(n), kinds=(kind,) * n)
+def unit_bounds(n):
+    return GeneBounds(lower=np.zeros(n), upper=np.ones(n))
 
 
 class TestPolynomialMutation:
@@ -251,19 +256,23 @@ class TestPolynomialMutation:
         assert 0.0 < out[0] < 1.0
 
     def test_clamp_genes_stay_in_bounds(self):
+        # run_ga's order: mutate, then project_feasible keeps positions in the region
+        s = Scenario(region_radius=2.0, region_center=(5.0, -1.0))
+        bounds = deployment_bounds(s)
         rng = np.random.default_rng(8)
-        bounds = unit_bounds(9)
         for _ in range(100):
-            z = rng.random(9)
-            out = polynomial_mutation(z, 20.0, 1.0, bounds, rng)
-            assert np.all(out >= 0.0) and np.all(out <= 1.0)
+            z = rng.uniform(bounds.lower, bounds.upper)
+            out = project_feasible(polynomial_mutation(z, 20.0, 1.0, bounds, rng), s)
+            assert np.all(out >= bounds.lower) and np.all(out <= bounds.upper)
+            assert deployment_violations(decode_chromosome(out), s) == []
 
     def test_wrap_genes_stay_in_half_open_range(self):
-        bounds = GeneBounds(lower=np.zeros(1), upper=np.full(1, TWO_PI), kinds=("wrap",))
+        s = Scenario(region_radius=2.0, node_count=1)
+        bounds = deployment_bounds(s)
         for u in (0.0001, 0.3, 0.7, 0.9999999999999999):
-            rng = ScriptedRng(floats=[[0.0], [u]])
-            out = polynomial_mutation(np.array([6.0]), 20.0, 1.0, bounds, rng)
-            assert 0.0 <= out[0] < TWO_PI
+            rng = ScriptedRng(floats=[[1.0, 1.0, 0.0], [0.5, 0.5, u]])  # mutate the angle only
+            out = project_feasible(polynomial_mutation(np.array([0.0, 0.0, 6.0]), 20.0, 1.0, bounds, rng), s)
+            assert 0.0 <= out[2] < TWO_PI
 
     def test_rejects_out_of_bounds_gene(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ projection that the rank-one kernel replaced is kept below as the reference:
 `rmse_map` must match it bit for bit.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from isacdeploy.geometry import (
     random_deployment,
     steering_vector,
 )
+from isacdeploy import music
 from isacdeploy.music import LocalizationStats, _localize_indices, _point_rmse, localize, rmse_map
 from isacdeploy.signals import PowerLevels, generate_snapshots, sample_covariance, snr_to_powers
 
@@ -242,6 +244,17 @@ class TestRmseMap:
         serial = rmse_map(dep, small_scenario, 3, np.random.default_rng(50))
         threaded = rmse_map(dep, small_scenario, 3, np.random.default_rng(50), threads=4)
         assert np.array_equal(serial.per_point_rmse, threaded.per_point_rmse)
+
+    def test_pool_never_exceeds_the_core_count(self, small_scenario, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-core machine must not start a thread pool")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(music, "ThreadPoolExecutor", no_pool)
+        dep = midpoint_baseline(small_scenario)
+        serial = rmse_map(dep, small_scenario, 3, np.random.default_rng(50))
+        capped = rmse_map(dep, small_scenario, 3, np.random.default_rng(50), threads=64)
+        assert np.array_equal(serial.per_point_rmse, capped.per_point_rmse)
 
     def test_error_bounded_by_grid_diameter(self, small_scenario):
         dep = random_deployment(small_scenario, np.random.default_rng(51))
