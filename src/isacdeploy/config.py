@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ga import GaParams
-from .geometry import Deployment, NodePose, Scenario
+from .geometry import Deployment, NodePose, Scenario, integer_at_least
 from .signals import snr_to_powers
 
 EXPERIMENT_KINDS = ("optimize", "montecarlo", "alpha-sweep", "snr-sweep", "node-sweep", "evaluate")
@@ -53,9 +53,7 @@ class ExperimentSettings:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= _MAX_SEED:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         for name in ("random_deployment_count", "trials_per_point"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 1))
         alphas = tuple(float(a) for a in self.alpha_values)
         if not alphas or any(not np.isfinite(a) or a < 0 for a in alphas):
             raise ValueError(f"alpha_values must be a non-empty list of values >= 0, got {self.alpha_values!r}")
@@ -68,8 +66,11 @@ class ExperimentSettings:
             except ValueError as exc:
                 raise ValueError(f"snr_values_db[{index}]: {exc}") from None
         nodes = tuple(self.node_counts)
-        if not nodes or any(not isinstance(j, int) or isinstance(j, bool) or j < 1 for j in nodes):
+        if not nodes:
             raise ValueError(f"node_counts must be a non-empty list of integers >= 1, got {self.node_counts!r}")
+        nodes = tuple(integer_at_least(f"node_counts[{index}]", j, 1) for index, j in enumerate(nodes))
+        if len(set(nodes)) < len(nodes):
+            raise ValueError(f"node_counts must list each node count once, got {self.node_counts!r}")
         if not isinstance(self.music, bool):
             raise ValueError(f"music must be a boolean, got {self.music!r}")
         object.__setattr__(self, "alpha_values", alphas)

@@ -38,12 +38,14 @@ class GridCodebook:
 
     grid: (n, 2) coverage-grid points.
     steering: (N*J, n) unit-norm steering columns, one per grid point.
-    distance_weights: (n, n) symmetric matrix of d_ij^alpha, zero diagonal.
+    weight_slabs: d_ij^alpha over the upper triangle, packed in the blocks of
+        the worst-pair scan (see `weight_slabs`); about n(n + 64)/2 * 8 bytes
+        instead of n^2 * 8 for the full symmetric matrix.
     """
 
     grid: np.ndarray
     steering: np.ndarray
-    distance_weights: np.ndarray
+    weight_slabs: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -62,55 +64,82 @@ class CorrelationReport:
         object.__setattr__(self, "arg_pair", (int(i), int(j)))
 
 
-def distance_weights(points, alpha: float) -> np.ndarray:
-    """Pair weight matrix d_ij^alpha with an explicitly zeroed diagonal.
+def _slab(points: np.ndarray, i0: int, alpha: float) -> np.ndarray:
+    """Rows [i0, i1) x columns [i0, n) of d_ij^alpha, diagonal zeroed."""
+    i1 = min(i0 + BLOCK_ROWS, len(points) - 1)
+    rows = points[i0:i1]
+    slab = np.hypot(rows[:, 0:1] - points[i0:, 0], rows[:, 1:2] - points[i0:, 1])
+    slab **= alpha
+    np.fill_diagonal(slab, 0.0)
+    return slab
 
-    Filled `BLOCK_ROWS` rows at a time into one preallocated array, so the
-    build holds the (n, n) result plus O(BLOCK_ROWS * n) temporaries.
-    """
+
+def _slabs(points, alpha: float):
+    """The slabs of `weight_slabs`, built lazily one at a time."""
     if not np.isfinite(alpha) or alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
     points = np.asarray(points, dtype=float)
+    return (_slab(points, i0, alpha) for i0 in range(0, len(points) - 1, BLOCK_ROWS))
+
+
+def weight_slabs(points, alpha: float) -> tuple[np.ndarray, ...]:
+    """Pair weights d_ij^alpha over the upper triangle, one slab per scan block.
+
+    Slab b holds rows [i0, i1) x columns [i0, n) of the symmetric weight
+    matrix, with i0 = BLOCK_ROWS * b and i1 = min(i0 + BLOCK_ROWS, n - 1), and
+    a zeroed diagonal: exactly the part `max_weighted_correlation` reads. The
+    last grid row has no pair j > i, so no slab holds it; n < 2 gives none.
+    """
+    return tuple(_slabs(points, alpha))
+
+
+def distance_weights(points, alpha: float) -> np.ndarray:
+    """Full symmetric (n, n) pair weight matrix d_ij^alpha, zero diagonal.
+
+    Mirrored from the slabs of `weight_slabs`, built one at a time, so the
+    values are those of the worst-pair scan bit for bit.
+    """
     n = len(points)
-    weights = np.empty((n, n))
-    for i0 in range(0, n, BLOCK_ROWS):
-        rows = points[i0 : i0 + BLOCK_ROWS]
-        block = weights[i0 : i0 + BLOCK_ROWS]
-        np.hypot(rows[:, 0:1] - points[:, 0], rows[:, 1:2] - points[:, 1], out=block)
-        block **= alpha
-    np.fill_diagonal(weights, 0.0)
+    weights = np.zeros((n, n))
+    for i0, slab in zip(range(0, n - 1, BLOCK_ROWS), _slabs(points, alpha), strict=True):
+        i1 = i0 + len(slab)
+        weights[i0:i1, i0:] = slab
+        weights[i0:, i0:i1] = slab.T
     return weights
 
 
 @lru_cache(maxsize=1)
-def _grid_weights(center, radius: float, resolution: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coverage grid and its d_ij^alpha matrix, built once per grid.
+def _grid_weights(
+    center, radius: float, resolution: float, alpha: float
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Coverage grid and its weight slabs, built once per grid.
 
-    Every codebook of the grid shares both arrays, across deployments, node
-    counts and SNR levels, so they are read-only. Only the most recent grid
-    is kept: at a 0.25 m reference grid the weights alone take 113 MB.
+    Every codebook of the grid shares them, across deployments, node counts
+    and SNR levels, so they are read-only. Only the most recent grid is kept:
+    at a 0.25 m reference grid the slabs alone take 57.5 MB.
     """
     grid = coverage_grid(center, radius, resolution)
-    weights = distance_weights(grid, alpha)
+    slabs = weight_slabs(grid, alpha)
     grid.flags.writeable = False
-    weights.flags.writeable = False
-    return grid, weights
+    for slab in slabs:
+        slab.flags.writeable = False
+    return grid, slabs
 
 
 def build_codebook(deployment: Deployment, scenario: Scenario) -> GridCodebook:
     """Codebook of one deployment over the scenario coverage grid.
 
-    The grid and its weights are shared with every other codebook of the
+    The grid and its weight slabs are shared with every other codebook of the
     same grid and exponent (see `_grid_weights`).
     """
-    grid, weights = _grid_weights(
+    grid, slabs = _grid_weights(
         scenario.region_center, scenario.region_radius, scenario.grid_resolution, scenario.alpha
     )
     layout = deployment_layout(deployment, scenario)
     return GridCodebook(
         grid=grid,
         steering=steering_matrix(layout, grid, scenario.wavelength),
-        distance_weights=weights,
+        weight_slabs=slabs,
     )
 
 
@@ -142,10 +171,10 @@ def max_weighted_correlation(codebook: GridCodebook) -> CorrelationReport:
         raise ValueError(f"need at least two grid points to form a pair, got {n}")
     conj_rows = steering.conj().T
     best_value, best_pair = -1.0, (0, 1)
-    for i0 in range(0, n - 1, BLOCK_ROWS):
-        i1 = min(i0 + BLOCK_ROWS, n - 1)
+    for i0, slab in zip(range(0, n - 1, BLOCK_ROWS), codebook.weight_slabs, strict=True):
+        i1 = i0 + len(slab)
         values = np.abs(conj_rows[i0:i1] @ steering[:, i0:])
-        values *= codebook.distance_weights[i0:i1, i0:]
+        values *= slab
         # local column c is grid point i0 + c: mask the pairs with j <= i
         values[:, : i1 - i0][_ON_OR_BELOW_DIAGONAL[: i1 - i0, : i1 - i0]] = -1.0
         r, c = np.unravel_index(int(np.argmax(values)), values.shape)

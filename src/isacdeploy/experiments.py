@@ -135,6 +135,7 @@ def run_optimize(config: ExperimentConfig) -> ResultBundle:
     summary = {
         "best_fitness": result.best_fitness,
         "evaluations": result.evaluations,
+        "fitness_cache_hits": result.cache_hits,
         "generations": config.ga.max_generations,
         "worst_pair": worst_pair,
     }

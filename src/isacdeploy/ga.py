@@ -85,12 +85,15 @@ class GaParams:
 @dataclass(frozen=True, eq=False)
 class GaResult:
     """Best chromosome found, its fitness, the per-generation best-fitness
-    trace (index 0 = initial population), and the number of fitness calls."""
+    trace (index 0 = initial population), the number of chromosomes scored
+    (P + G(P - N_e)) and how many of those repeated an earlier chromosome of
+    the run and took its cached fitness instead of a `fitness` call."""
 
     best: np.ndarray
     best_fitness: float
     trace: np.ndarray
     evaluations: int
+    cache_hits: int = 0
 
     def __post_init__(self):
         trace = np.asarray(self.trace, dtype=float)
@@ -102,6 +105,8 @@ class GaResult:
             raise ValueError("best_fitness must equal the last trace entry")
         if self.evaluations < 1:
             raise ValueError("evaluations must be >= 1")
+        if not 0 <= self.cache_hits < self.evaluations:
+            raise ValueError("cache_hits must be in [0, evaluations)")
         object.__setattr__(self, "best", np.asarray(self.best, dtype=float))
         object.__setattr__(self, "trace", trace)
 
@@ -241,13 +246,23 @@ def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> Ga
     carried over with cached fitness. The best-fitness trace has one entry per
     generation plus the initial population, and is non-increasing by elitism.
     Fitness is evaluated serially, in population order; results depend only
-    on the seed.
+    on the seed. A chromosome whose genes repeat, bit for bit, one already
+    scored in the run reuses that score, so `fitness` runs once per distinct
+    chromosome.
     """
+    scores: dict[bytes, float] = {}
+
+    def score(genes: np.ndarray) -> float:
+        key = genes.tobytes()
+        if key not in scores:
+            scores[key] = fitness(genes, scenario)
+        return scores[key]
+
     bounds = deployment_bounds(scenario)
     population = [
         encode_deployment(random_deployment(scenario, rng)) for _ in range(params.population_size)
     ]
-    fitnesses = np.array([fitness(genes, scenario) for genes in population], dtype=float)
+    fitnesses = np.array([score(genes) for genes in population], dtype=float)
     evaluations = len(population)
     best_index = int(np.argmin(fitnesses))
     best_genes = population[best_index].copy()
@@ -275,7 +290,7 @@ def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> Ga
         elite_order = np.argsort(fitnesses, kind="stable")[: params.elite_count]
         elites = [population[i] for i in elite_order]
         elite_fitnesses = fitnesses[elite_order]
-        offspring_fitnesses = np.array([fitness(genes, scenario) for genes in offspring], dtype=float)
+        offspring_fitnesses = np.array([score(genes) for genes in offspring], dtype=float)
         evaluations += len(offspring)
         population = elites + offspring
         fitnesses = np.concatenate([elite_fitnesses, offspring_fitnesses])
@@ -289,4 +304,5 @@ def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> Ga
         best_fitness=best_fitness,
         trace=np.asarray(trace, dtype=float),
         evaluations=evaluations,
+        cache_hits=evaluations - len(scores),
     )

@@ -22,11 +22,11 @@ SPEED_OF_LIGHT = 299_792_458.0
 TWO_PI = 2.0 * np.pi
 
 MAX_GRID_POINTS = 10_000
-"""Largest coverage grid a scenario may have. The worst-pair metric keeps one
-n x n float64 weight matrix per grid, n^2 * 8 bytes: 113 MB at a 0.25 m
-reference grid (n = 3,761), 800 MB at this limit and 4.4 GB at 0.1 m
-(n = 23,565), more than half of an 8 GB machine. Larger grids are rejected
-when the scenario is built, before any O(n^2) array exists."""
+"""Largest coverage grid a scenario may have. The worst-pair metric keeps the
+upper triangle of one float64 weight matrix per grid, packed in 64-row slabs,
+about n(n + 64)/2 * 8 bytes: 57.5 MB at a 0.25 m reference grid (n = 3,761),
+about 400 MB at this limit and 2.2 GB at 0.1 m (n = 23,565). Larger grids are
+rejected when the scenario is built, before any O(n^2) array exists."""
 
 
 class DegenerateGeometryError(ValueError):
@@ -45,10 +45,10 @@ def wavelength_of(frequency: float) -> float:
 
 
 def integer_at_least(name: str, value, minimum: int) -> int:
-    """`value` as an int if it is integral (8 and 8.0 pass; 2.5, inf and "8"
-    do not) and at least `minimum`; otherwise a ValueError naming `name`."""
+    """`value` as an int if it is integral (8 and 8.0 pass; 2.5, inf, "8" and
+    True do not) and at least `minimum`; otherwise a ValueError naming `name`."""
     try:
-        integral = int(value) == value
+        integral = not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral or value < minimum:
@@ -107,7 +107,7 @@ class Scenario:
             raise ValueError(
                 f"grid_resolution {self.grid_resolution!r} gives more than MAX_GRID_POINTS = "
                 f"{MAX_GRID_POINTS} grid points for region_radius {float(self.region_radius):.6g} "
-                "(the pair weights take n^2 * 8 bytes)"
+                "(the pair weights take about n^2 / 2 * 8 bytes)"
             )
         snr_to_powers(self.snr_db)  # finite and at most signals.MAX_SNR_DB
         if not np.isfinite(self.alpha) or self.alpha < 0:

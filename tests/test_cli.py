@@ -290,6 +290,14 @@ class TestBadInputs:
             echoed = json.loads((tmp_path / "out" / "config-echo.json").read_text())["ga"]
             assert all(type(echoed[key]) is int for key in ga)
 
+    def test_repeated_node_counts_exit_two_before_any_run(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        experiment = {**DESK_CONFIG["experiment"], "node_counts": [2, 2], "music": False}
+        path.write_text(json.dumps({**DESK_CONFIG, "experiment": experiment}))
+        assert main(["node-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "experiment: node_counts must list each node count once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_oversize_grid_exits_two(self, tmp_path, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("the weight matrix must not be built")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -159,6 +160,32 @@ class TestParseConfig:
         echoed = config_to_dict(config)["ga"]
         assert all(type(echoed[key]) is int for key in ga)
         assert type(config.scenario.node_count) is int
+
+    def test_integral_floats_become_integers_in_experiment_counts(self):
+        counts = {"random_deployment_count": 6.0, "trials_per_point": 2.0, "node_counts": [2.0, 3]}
+        settings = parse_config({"experiment": {"kind": "node-sweep", **counts}}).experiment
+        values = (settings.random_deployment_count, settings.trials_per_point, *settings.node_counts)
+        assert values == (6, 2, 2, 3)
+        assert all(type(value) is int for value in values)
+
+    @pytest.mark.parametrize("key", ["random_deployment_count", "trials_per_point", "node_counts"])
+    @pytest.mark.parametrize("bad", [2.5, math.inf, math.nan, "2", 0])
+    def test_experiment_counts_must_be_integral(self, key, bad):
+        document = {"kind": "node-sweep", key: [3, bad] if key == "node_counts" else bad}
+        name = "node_counts[1]" if key == "node_counts" else key
+        with pytest.raises(ConfigError, match=rf"experiment: {re.escape(name)} must be an integer >= 1, got"):
+            parse_config({"experiment": document})
+
+    def test_experiment_counts_reject_booleans_from_the_api(self):
+        with pytest.raises(ValueError, match=r"node_counts\[0\] must be an integer"):
+            ExperimentSettings(kind="node-sweep", node_counts=(True,))
+        with pytest.raises(ValueError, match="trials_per_point must be an integer"):
+            ExperimentSettings(kind="montecarlo", trials_per_point=True)
+
+    @pytest.mark.parametrize("counts", [[2, 2], [3, 2, 3.0]])
+    def test_repeated_node_counts_are_a_config_error(self, counts):
+        with pytest.raises(ConfigError, match="experiment: node_counts must list each node count once"):
+            parse_config({"experiment": {"kind": "node-sweep", "node_counts": counts}})
 
     def test_infinite_scenario_integer_is_a_config_error(self):
         with pytest.raises(ConfigError, match="scenario: node_count must be an integer"):

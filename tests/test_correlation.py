@@ -23,6 +23,7 @@ from isacdeploy.correlation import (
     max_weighted_correlation,
     overlap_decompose,
     pearson,
+    weight_slabs,
     weighted_correlation,
 )
 from isacdeploy.geometry import (
@@ -68,6 +69,26 @@ def pair_scan_oracle(codebook):
     return best_val, best_pair
 
 
+def full_weights(points, alpha):
+    """The symmetric n x n matrix d_ij^alpha, zero diagonal, in one broadcast."""
+    weights = np.hypot(points[:, None, 0] - points[None, :, 0], points[:, None, 1] - points[None, :, 1])
+    weights **= alpha
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def slices(full):
+    """The scan's block slabs full[i0:i1, i0:] of a full weight matrix."""
+    n = len(full)
+    return tuple(full[i0 : min(i0 + BLOCK_ROWS, n - 1), i0:] for i0 in range(0, n - 1, BLOCK_ROWS))
+
+
+def slab_weight(book, i, j):
+    """Weight of grid pair i < j, read from the codebook's slabs."""
+    b = i // BLOCK_ROWS
+    return book.weight_slabs[b][i - b * BLOCK_ROWS, j - b * BLOCK_ROWS]
+
+
 @pytest.fixture(scope="module")
 def small_scenario():
     # a few dozen grid points keeps the O(n^2) python oracle fast
@@ -87,26 +108,28 @@ class TestCodebook:
     def test_weights_diagonal_zero(self, small_scenario):
         dep = random_deployment(small_scenario, np.random.default_rng(2))
         book = build_codebook(dep, small_scenario)
-        assert np.array_equal(np.diag(book.distance_weights), np.zeros(len(book.grid)))
-        assert np.array_equal(book.distance_weights, book.distance_weights.T)
+        for slab in book.weight_slabs:
+            assert np.array_equal(np.diag(slab), np.zeros(len(slab)))
+            # the block's own square is the symmetric sub-matrix of its rows
+            assert np.array_equal(slab[:, : len(slab)], slab[:, : len(slab)].T)
 
     def test_weight_for_five_meter_pair(self, small_scenario):
         dep = random_deployment(small_scenario, np.random.default_rng(3))
         book = build_codebook(dep, small_scenario)
         i = next(k for k, p in enumerate(book.grid) if tuple(p) == (-2.0, 0.0))
         j = next(k for k, p in enumerate(book.grid) if tuple(p) == (3.0, 0.0))
-        assert book.distance_weights[i, j] == 1.0837983867343681  # 5**0.05
+        assert slab_weight(book, min(i, j), max(i, j)) == 1.0837983867343681  # 5**0.05
 
     def test_codebooks_of_one_grid_share_read_only_weights(self, small_scenario):
         base = build_codebook(random_deployment(small_scenario, np.random.default_rng(4)), small_scenario)
         other = replace(small_scenario, node_count=4, snr_db=20.0)
         again = build_codebook(random_deployment(other, np.random.default_rng(5)), other)
         assert again.grid is base.grid
-        assert again.distance_weights is base.distance_weights
+        assert again.weight_slabs is base.weight_slabs
         assert not base.grid.flags.writeable
-        assert not base.distance_weights.flags.writeable
+        assert not any(slab.flags.writeable for slab in base.weight_slabs)
         with pytest.raises(ValueError):
-            base.distance_weights[0, 1] = 0.0
+            base.weight_slabs[0][0, 1] = 0.0
 
     def test_rejects_grid_point_on_antenna(self):
         s = Scenario(region_radius=3.0, element_spacing=1.0)
@@ -173,7 +196,7 @@ class TestMaxWeightedCorrelation:
         book = GridCodebook(
             grid=grid,
             steering=steering_matrix(layout, grid, small_scenario.wavelength),
-            distance_weights=distance_weights(grid, 0.05),
+            weight_slabs=weight_slabs(grid, 0.05),
         )
         report = max_weighted_correlation(book)
         assert report.arg_pair == (0, 1)
@@ -198,7 +221,7 @@ class TestMaxWeightedCorrelation:
         i, j = report.arg_pair
         gram = np.abs(np.vdot(book.steering[:, i], book.steering[:, j]))
         assert i < j
-        assert report.max_value == pytest.approx(gram * book.distance_weights[i, j], rel=1e-13)
+        assert report.max_value == pytest.approx(gram * slab_weight(book, i, j), rel=1e-13)
 
     def test_collocated_nodes_flag_most_distant_ambiguous_pair(self):
         s = Scenario(region_radius=3.0)
@@ -227,7 +250,7 @@ class TestMaxWeightedCorrelation:
         book = GridCodebook(
             grid=grid,
             steering=steering_matrix(layout, grid, scenario.wavelength),
-            distance_weights=distance_weights(grid, 0.05),
+            weight_slabs=weight_slabs(grid, 0.05),
         )
         report = max_weighted_correlation(book)
         oracle_val, oracle_pair = pair_scan_oracle(book)
@@ -235,18 +258,18 @@ class TestMaxWeightedCorrelation:
         assert report.arg_pair == oracle_pair
 
     def test_matches_full_gram_scan_bit_for_bit(self):
-        # the unblocked scan: gather every strict-upper pair, first argmax
-        scenario = Scenario()
-        rng = np.random.default_rng(16)
-        for _ in range(5):
-            book = build_codebook(random_deployment(scenario, rng), scenario)
-            rows, cols = np.triu_indices(len(book.grid), k=1)
-            gram = np.abs(book.steering.conj().T @ book.steering)
-            values = gram[rows, cols] * book.distance_weights[rows, cols]
-            k = int(np.argmax(values))
-            report = max_weighted_correlation(book)
-            assert report.max_value == values[k]
-            assert report.arg_pair == (rows[k], cols[k])
+        # the unblocked scan over the full matrix: every strict-upper pair, first argmax
+        for scenario in (Scenario(), Scenario(grid_resolution=0.7)):
+            rng = np.random.default_rng(16)
+            for _ in range(5):
+                book = build_codebook(random_deployment(scenario, rng), scenario)
+                rows, cols = np.triu_indices(len(book.grid), k=1)
+                gram = np.abs(book.steering.conj().T @ book.steering)
+                values = gram[rows, cols] * full_weights(book.grid, scenario.alpha)[rows, cols]
+                k = int(np.argmax(values))
+                report = max_weighted_correlation(book)
+                assert report.max_value == values[k]
+                assert report.arg_pair == (rows[k], cols[k])
 
     @pytest.mark.parametrize("first, second", [((3, 10), (BLOCK_ROWS + 5, 100)), ((3, 100), (5, 6))])
     def test_ties_resolve_to_the_lexicographically_first_pair(self, first, second):
@@ -258,7 +281,7 @@ class TestMaxWeightedCorrelation:
         book = GridCodebook(
             grid=np.column_stack((np.arange(n, dtype=float), np.zeros(n))),
             steering=np.ones((1, n), dtype=complex),
-            distance_weights=weights,
+            weight_slabs=slices(weights),
         )
         assert max_weighted_correlation(book) == CorrelationReport(max_value=2.0, arg_pair=first)
 
@@ -268,7 +291,7 @@ class TestMaxWeightedCorrelation:
         book = GridCodebook(
             grid=np.column_stack((np.arange(n, dtype=float), np.zeros(n))),
             steering=np.ones((1, n), dtype=complex),
-            distance_weights=np.zeros((n, n)),
+            weight_slabs=slices(np.zeros((n, n))),
         )
         assert max_weighted_correlation(book) == CorrelationReport(max_value=0.0, arg_pair=(0, 1))
 
@@ -281,14 +304,40 @@ class TestMaxWeightedCorrelation:
         book = GridCodebook(
             grid=grid,
             steering=steering_matrix(layout, grid, small_scenario.wavelength),
-            distance_weights=distance_weights(grid, 0.05),
+            weight_slabs=weight_slabs(grid, 0.05),
         )
         with pytest.raises(ValueError):
             max_weighted_correlation(book)
 
 
+class TestWeightSlabs:
+    """The packed upper triangle holds exactly the full matrix's scan slices."""
+
+    @pytest.mark.parametrize("resolution", [1.0, 0.3])
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 66, 129, 241])
+    def test_slabs_equal_full_matrix_slices_bit_for_bit(self, n, resolution):
+        scenario = Scenario(grid_resolution=resolution)
+        grid = coverage_grid(scenario.region_center, scenario.region_radius, resolution)[:n]
+        assert len(grid) == n
+        for alpha in (0.05, 0.37):
+            slabs = weight_slabs(grid, alpha)
+            expected = slices(full_weights(grid, alpha))
+            assert len(slabs) == len(expected) == -(-(n - 1) // BLOCK_ROWS)
+            for slab, want in zip(slabs, expected):
+                assert slab.shape == want.shape
+                assert slab.tobytes() == want.tobytes()
+
+    def test_fewer_than_two_points_give_no_slabs(self):
+        assert weight_slabs(np.zeros((1, 2)), 0.05) == ()
+        assert weight_slabs(np.zeros((0, 2)), 0.05) == ()
+
+    def test_rejects_negative_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            weight_slabs(np.zeros((3, 2)), -0.5)
+
+
 class TestFineGridMemory:
-    """At a 0.25 m grid (n = 3761) the n x n weight matrix is the one O(n^2) array."""
+    """At a 0.25 m grid (n = 3761) the weight slabs are the one O(n^2) array."""
 
     def test_weight_build_and_metric_peaks(self):
         scenario = Scenario(grid_resolution=0.25)
@@ -300,16 +349,20 @@ class TestFineGridMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            weights = distance_weights(grid, scenario.alpha)
-            weights_peak = tracemalloc.get_traced_memory()[1] - base
-            book = GridCodebook(grid=grid, steering=steering, distance_weights=weights)
+            slabs = weight_slabs(grid, scenario.alpha)
+            retained, weights_peak = (m - base for m in tracemalloc.get_traced_memory())
+            book = GridCodebook(grid=grid, steering=steering, weight_slabs=slabs)
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             max_weighted_correlation(book)
             metric_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert weights_peak <= 1.25 * n * n * 8
+        packed = 8 * sum((min(i0 + BLOCK_ROWS, n - 1) - i0) * (n - i0) for i0 in range(0, n - 1, BLOCK_ROWS))
+        assert sum(slab.nbytes for slab in slabs) == packed
+        assert packed <= 58e6 < n * n * 8 / 1.9
+        assert packed <= retained <= packed + 2**16
+        assert weights_peak <= packed + 4 * BLOCK_ROWS * n * 8
         assert metric_peak <= 32 * 2**20
 
 
@@ -451,6 +504,12 @@ class TestDistanceHelpers:
         assert d[0, 2] == 1.0
         assert np.array_equal(d, d.T)
         assert np.array_equal(np.diag(d), np.zeros(3))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 65, 66, 200])
+    def test_full_matrix_mirrors_the_slabs(self, n):
+        pts = np.random.default_rng(n).uniform(-7.0, 7.0, size=(n, 2))
+        for alpha in (0.0, 0.05, 1.0, 2.0):
+            assert distance_weights(pts, alpha).tobytes() == full_weights(pts, alpha).tobytes()
 
     def test_weights_alpha_zero_unit_off_diagonal(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])

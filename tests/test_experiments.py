@@ -125,6 +125,9 @@ class TestRunOptimize:
     def test_summary_counts_evaluations(self, bundle):
         assert bundle.summary["evaluations"] == 8 + 4 * 6
 
+    def test_summary_counts_fitness_cache_hits(self, bundle):
+        assert 0 <= bundle.summary["fitness_cache_hits"] < bundle.summary["evaluations"]
+
     def test_checks_pass(self, bundle):
         assert bundle.checks == {
             "trace_non_increasing": True,

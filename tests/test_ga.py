@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isacdeploy import ga
 from isacdeploy.correlation import build_codebook, max_weighted_correlation
 from isacdeploy.ga import (
     GaParams,
@@ -354,6 +355,11 @@ class TestGaParams:
         with pytest.raises(ValueError):
             GaParams(max_generations=-1)
 
+    @pytest.mark.parametrize("field", ["population_size", "elite_count", "tournament_size", "max_generations"])
+    def test_boolean_counts_are_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GaParams(**{field: True})
+
 
 @pytest.fixture(scope="module")
 def desk_params():
@@ -409,3 +415,38 @@ class TestRunGa:
             GaResult(best=np.zeros(9), best_fitness=1.0, trace=np.array([1.0, 2.0]), evaluations=10)
         with pytest.raises(ValueError):
             GaResult(best=np.zeros(9), best_fitness=0.5, trace=np.array([2.0, 1.0]), evaluations=10)
+        for hits in (-1, 10):
+            with pytest.raises(ValueError, match="cache_hits"):
+                GaResult(best=np.zeros(9), best_fitness=1.0, trace=np.array([1.0]), evaluations=10, cache_hits=hits)
+
+
+class TestFitnessCache:
+    """`run_ga` scores each distinct chromosome of a run once."""
+
+    @staticmethod
+    def counted_run(monkeypatch, scenario, params, seed):
+        calls = []
+
+        def counting(genes, scenario):
+            calls.append(np.asarray(genes).tobytes())
+            return fitness(genes, scenario)
+
+        monkeypatch.setattr(ga, "fitness", counting)
+        return run_ga(scenario, params, np.random.default_rng(seed)), calls
+
+    def test_each_distinct_chromosome_is_scored_once(self, monkeypatch, small_scenario, desk_params, desk_result):
+        result, calls = self.counted_run(monkeypatch, small_scenario, desk_params, 13)
+        assert len(calls) == len(set(calls)) == result.evaluations - result.cache_hits
+        assert result.evaluations == desk_result.evaluations
+        assert np.array_equal(result.trace, desk_result.trace)
+        assert np.array_equal(result.best, desk_result.best)
+
+    def test_unchanged_offspring_are_cache_hits(self, monkeypatch, small_scenario):
+        # no crossover and no mutation: every offspring copies a scored parent
+        params = GaParams(
+            population_size=8, elite_count=2, max_generations=5, crossover_probability=0.0, mutation_probability=0.0
+        )
+        result, calls = self.counted_run(monkeypatch, small_scenario, params, 21)
+        assert len(calls) == 8
+        assert result.evaluations == 8 + 5 * 6
+        assert result.cache_hits == 5 * 6

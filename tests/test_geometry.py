@@ -171,6 +171,8 @@ class TestScenario:
             {"element_spacing": 0.0},
             {"snr_db": float("nan")},
             {"region_center": (0.0,)},
+            {"antennas_per_node": True},
+            {"node_count": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isacdeploy.correlation import GridCodebook, build_codebook
+from isacdeploy.correlation import GridCodebook, build_codebook, weight_slabs
 from isacdeploy.geometry import (
     Deployment,
     NodePose,
@@ -84,8 +84,12 @@ def baseline_book(small_scenario):
 
 
 def reversed_book(book):
-    """The same codebook with its grid order reversed, so index ties break the other way."""
-    return GridCodebook(book.grid[::-1], book.steering[:, ::-1], book.distance_weights[::-1, ::-1])
+    """The same codebook with its grid order reversed, so index ties break the other way.
+
+    A reversed grid has its own weight slabs; those of the forward grid do not reverse into them.
+    """
+    grid = book.grid[::-1]
+    return GridCodebook(grid, book.steering[:, ::-1], weight_slabs(grid, Scenario().alpha))
 
 
 # ---------------------------------------------------------------- subspace
@@ -106,7 +110,7 @@ class TestNoiseSubspace:
         mixed = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2.0)
         steering = np.column_stack([np.eye(4), mixed]).astype(complex)
         grid = np.arange(10.0).reshape(5, 2)
-        book = GridCodebook(grid, steering, np.zeros((5, 5)))
+        book = GridCodebook(grid, steering, weight_slabs(grid, 0.05))
         assert np.array_equal(localize(cov, book), grid[1])
         assert np.array_equal(localize(cov, reversed_book(book)), grid[1])
 
