@@ -74,14 +74,6 @@ def _slab(points: np.ndarray, i0: int, alpha: float) -> np.ndarray:
     return slab
 
 
-def _slabs(points, alpha: float):
-    """The slabs of `weight_slabs`, built lazily one at a time."""
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    points = np.asarray(points, dtype=float)
-    return (_slab(points, i0, alpha) for i0 in range(0, len(points) - 1, BLOCK_ROWS))
-
-
 def weight_slabs(points, alpha: float) -> tuple[np.ndarray, ...]:
     """Pair weights d_ij^alpha over the upper triangle, one slab per scan block.
 
@@ -90,22 +82,10 @@ def weight_slabs(points, alpha: float) -> tuple[np.ndarray, ...]:
     a zeroed diagonal: exactly the part `max_weighted_correlation` reads. The
     last grid row has no pair j > i, so no slab holds it; n < 2 gives none.
     """
-    return tuple(_slabs(points, alpha))
-
-
-def distance_weights(points, alpha: float) -> np.ndarray:
-    """Full symmetric (n, n) pair weight matrix d_ij^alpha, zero diagonal.
-
-    Mirrored from the slabs of `weight_slabs`, built one at a time, so the
-    values are those of the worst-pair scan bit for bit.
-    """
-    n = len(points)
-    weights = np.zeros((n, n))
-    for i0, slab in zip(range(0, n - 1, BLOCK_ROWS), _slabs(points, alpha), strict=True):
-        i1 = i0 + len(slab)
-        weights[i0:i1, i0:] = slab
-        weights[i0:, i0:i1] = slab.T
-    return weights
+    if not np.isfinite(alpha) or alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    points = np.asarray(points, dtype=float)
+    return tuple(_slab(points, i0, alpha) for i0 in range(0, len(points) - 1, BLOCK_ROWS))
 
 
 @lru_cache(maxsize=1)

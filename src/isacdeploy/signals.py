@@ -5,10 +5,21 @@ s(t) a circularly-symmetric complex Gaussian source of variance E, and n(t)
 i.i.d. circularly-symmetric complex Gaussian noise of per-element variance
 sigma^2. A Gaussian source makes the population covariance exactly
 E * a a^H + sigma^2 * I.
+
+A `SnapshotWorkspace` holds the buffers of one (trials, M, T) stack: the
+snapshots, the source block and a scratch of a few trials. `draw` fills the
+stack in place (the normal draws pass through the scratch in pieces and are
+scaled straight into the stack; a*s is added one chunk of trials at a time)
+and `covariances` conjugates one chunk at a time, so a reused workspace
+allocates only the (trials, M, M) covariances. `music.rmse_map` keeps one per
+worker thread; `generate_snapshots` and `sample_covariance` run the same code
+on fresh buffers. Draws, their order and every bit of the results are those
+of one whole-stack computation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,25 +63,105 @@ def snr_to_powers(snr_db: float) -> PowerLevels:
     return PowerLevels(10.0 ** (float(snr_db) / 10.0), 1.0)
 
 
-def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
+CHUNK_BYTES = 1 << 18
+"""Target size of the scratch buffer that the trial-chunked steps reuse. It
+changes no result; scratches from one trial to a whole 50-trial stack timed
+alike on a 2-core Xeon, and a small one keeps a thread's memory near one stack."""
+
+
+def complex_normal(rng: np.random.Generator, shape, variance: float, out=None, scratch=None) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples of the given total variance.
 
-    Real and imaginary parts are independent N(0, variance/2); the real block
-    is drawn before the imaginary block (one standard-normal call), fixing the
-    stream layout. Each block is scaled straight into its half of the result.
-    Zero variance returns zeros without consuming draws.
+    Real and imaginary parts are independent N(0, variance/2); all real parts
+    are drawn before all imaginary parts, the stream layout of one (2, *shape)
+    standard-normal call. The raw draws pass through `scratch` (a contiguous
+    float array of any length >= 1) a piece at a time and are scaled straight
+    into `out` (a C-contiguous complex array of `shape`); either is allocated
+    when not given, so a caller that reuses both allocates nothing. Zero
+    variance fills zeros without consuming draws.
     """
     if variance < 0:
         raise ValueError(f"variance must be >= 0, got {variance!r}")
     shape = tuple(shape)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
     if variance == 0.0:
-        return np.zeros(shape, dtype=complex)
-    parts = rng.standard_normal((2,) + shape)
-    out = np.empty(shape, dtype=complex)
+        out.fill(0.0)
+        return out
+    flat = out.reshape(-1)
+    if scratch is None:
+        scratch = np.empty(max(1, flat.size))
     scale = np.sqrt(variance / 2.0)
-    np.multiply(parts[0], scale, out=out.real)
-    np.multiply(parts[1], scale, out=out.imag)
+    for half in (flat.real, flat.imag):
+        for i0 in range(0, flat.size, scratch.size):
+            draws = scratch[: min(scratch.size, flat.size - i0)]
+            rng.standard_normal(out=draws)
+            np.multiply(draws, scale, out=half[i0 : i0 + draws.size])
     return out
+
+
+def _scratch(trials: int, m: int, t: int) -> np.ndarray:
+    """Complex (k, m, t) scratch: about `CHUNK_BYTES` of whole trials, at least one."""
+    per_trial = max(1, m * t) * np.dtype(complex).itemsize
+    return np.empty((max(1, min(trials, CHUNK_BYTES // per_trial)), m, t), dtype=complex)
+
+
+def _chunks(stack: np.ndarray, scratch: np.ndarray):
+    """(rows, buffer) pairs that walk `stack` one scratch-full of trials at a time."""
+    for k0 in range(0, len(stack), len(scratch)):
+        rows = slice(k0, min(k0 + len(scratch), len(stack)))
+        yield rows, scratch[: rows.stop - k0]
+
+
+def _stack_covariance(y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`sample_covariance` of a (K, M, T) stack, conjugating a scratch-full of trials at a time.
+
+    numpy's stacked matmul runs one product per trial, so the chunks give the
+    bits of one whole-stack `y @ y^H`.
+    """
+    r = np.empty(y.shape[:-1] + y.shape[-2:-1], dtype=complex)
+    for rows, part in _chunks(y, scratch):
+        np.conjugate(y[rows], out=part)
+        np.matmul(y[rows], part.swapaxes(-1, -2), out=r[rows])
+    r /= y.shape[-1]
+    return 0.5 * (r + r.conj().swapaxes(-1, -2))
+
+
+class SnapshotWorkspace:
+    """Buffers for drawing a (trials, M, T) snapshot stack and its covariances, reused draw after draw.
+
+    `snapshots` holds the stack y, `sources` its (trials, T) source block and
+    `scratch` a few trials of complex scratch: the raw normal draws pass
+    through its float view, and the a*s products and the conjugates for
+    y y^H are built in it one chunk of trials at a time. Every step writes a
+    buffer before reading it, so nothing carries over from one draw to the next.
+    """
+
+    def __init__(self, trials: int, m: int, t: int):
+        self.snapshots = np.empty((trials, m, t), dtype=complex)
+        self.sources = np.empty((trials, t), dtype=complex)
+        self.scratch = _scratch(trials, m, t)
+
+    def draw(self, a: np.ndarray, powers: PowerLevels, rng: np.random.Generator) -> np.ndarray:
+        """Fill and return `snapshots`: y = a*s + n for the steering vector `a`.
+
+        Stream order: all source samples s (variance E), then all noise
+        samples (variance sigma^2).
+        """
+        y, s = self.snapshots, self.sources
+        draws = self.scratch.reshape(-1).view(float)
+        complex_normal(rng, s.shape, powers.signal_power, out=s, scratch=draws)
+        complex_normal(rng, y.shape, powers.noise_power, out=y, scratch=draws)
+        for rows, part in _chunks(y, self.scratch):
+            np.multiply(a[:, np.newaxis], s[rows, np.newaxis, :], out=part)
+            y[rows] += part
+        return y
+
+    def covariances(self) -> np.ndarray:
+        """`sample_covariance` of `snapshots`, shape (trials, M, M)."""
+        return _stack_covariance(self.snapshots, self.scratch)
 
 
 def generate_snapshots(
@@ -80,7 +171,8 @@ def generate_snapshots(
 
     With `trials`, a stack of `trials` independent matrices. Stream order: all
     source samples s (variance E), then all noise samples (variance sigma^2),
-    so trials=1 draws what the unbatched call draws.
+    so trials=1 draws what the unbatched call draws. Each call draws into a
+    fresh `SnapshotWorkspace`.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1 or a.size < 1:
@@ -89,11 +181,8 @@ def generate_snapshots(
         raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots!r}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    lead = () if trials is None else (trials,)
-    s = complex_normal(rng, lead + (n_snapshots,), powers.signal_power)
-    y = complex_normal(rng, lead + (a.size, n_snapshots), powers.noise_power)
-    y += a[:, np.newaxis] * s[..., np.newaxis, :]
-    return y
+    y = SnapshotWorkspace(1 if trials is None else trials, a.size, n_snapshots).draw(a, powers, rng)
+    return y[0] if trials is None else y
 
 
 def sample_covariance(batch) -> np.ndarray:
@@ -102,5 +191,6 @@ def sample_covariance(batch) -> np.ndarray:
     y = np.asarray(batch, dtype=complex)
     if y.ndim < 2 or y.shape[-1] < 1:
         raise ValueError(f"batch must be a (..., M, T) array with T >= 1, got shape {y.shape}")
-    r = (y @ y.conj().swapaxes(-1, -2)) / y.shape[-1]
-    return 0.5 * (r + r.conj().swapaxes(-1, -2))
+    stack = y.reshape((math.prod(y.shape[:-2]),) + y.shape[-2:])
+    r = _stack_covariance(stack, _scratch(len(stack), *y.shape[-2:]))
+    return r.reshape(y.shape[:-1] + y.shape[-2:-1])

@@ -156,6 +156,41 @@ class TestMontecarloCommand:
         assert "check failed: optimized_has_lowest_max_rho" in capsys.readouterr().err
 
 
+class TestSnrSweepCommand:
+    def write_config(self, tmp_path, seed, snr_values_db):
+        config = json.loads(json.dumps(DESK_CONFIG))
+        config["experiment"].update(seed=seed, random_deployment_count=2, snr_values_db=snr_values_db)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_gap_checks_run_at_the_lowest_resolved_level(self, tmp_path):
+        # at -10 dB MUSIC is in its outlier regime and the optimized worst point
+        # loses; the checks run at 0 dB, the lowest level the midpoint resolves
+        path = self.write_config(tmp_path, 11, [-10.0, 0.0, 20.0])
+        out = tmp_path / "run"
+        assert main(["snr-sweep", "--config", str(path), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        means = summary["midpoint_mean_rmse"]
+        assert means[0] >= 1.0 > means[1]
+        assert summary["check_snr_db"] == 0.0
+        assert summary["gap_at_lowest_snr"] < 0.0 <= summary["gap_at_check_snr"]
+        assert summary["checks"] == {"optimized_leq_midpoint_at_lowest_snr": True, "gap_narrows_with_snr": True}
+        assert not (out / "failure-report.json").exists()
+
+    def test_no_resolved_level_fails_the_gap_checks(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, 8, [-10.0, -5.0])
+        out = tmp_path / "run"
+        assert main(["snr-sweep", "--config", str(path), "--out", str(out)]) == 1
+        summary = read_summary(out)
+        assert min(summary["midpoint_mean_rmse"]) >= 1.0
+        assert summary["check_snr_db"] is None
+        assert "no SNR level has a midpoint spatial-mean RMSE below grid_resolution" in summary["check_snr_error"]
+        report = json.loads((out / "failure-report.json").read_text())
+        assert report["failed_checks"] == ["gap_narrows_with_snr", "optimized_leq_midpoint_at_lowest_snr"]
+        assert "check failed: gap_narrows_with_snr" in capsys.readouterr().err
+
+
 class TestEvaluateCommand:
     def test_round_trip_matches_the_optimizer(self, tmp_path, config_path):
         optimize_out = tmp_path / "optimize"

@@ -18,7 +18,6 @@ from isacdeploy.correlation import (
     GridCodebook,
     UndefinedCorrelationError,
     build_codebook,
-    distance_weights,
     frobenius_separability,
     max_weighted_correlation,
     overlap_decompose,
@@ -496,25 +495,36 @@ class TestOverlapDecompose:
 # ---------------------------------------------------------------- helpers
 
 
+def mirrored(slabs, n):
+    """The full symmetric (n, n) matrix held by the upper-triangle slabs."""
+    weights = np.zeros((n, n))
+    for i0, slab in zip(range(0, n - 1, BLOCK_ROWS), slabs, strict=True):
+        weights[i0 : i0 + len(slab), i0:] = slab
+        weights[i0:, i0 : i0 + len(slab)] = slab.T
+    return weights
+
+
 class TestDistanceHelpers:
     def test_pairwise_distances(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
-        d = distance_weights(pts, 1.0)
+        d = mirrored(weight_slabs(pts, 1.0), 3)
         assert d[0, 1] == 5.0
         assert d[0, 2] == 1.0
-        assert np.array_equal(d, d.T)
+        assert d[1, 2] == math.hypot(3.0, 3.0)
+        assert d.tobytes() == full_weights(pts, 1.0).tobytes()
         assert np.array_equal(np.diag(d), np.zeros(3))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 65, 66, 200])
     def test_full_matrix_mirrors_the_slabs(self, n):
         pts = np.random.default_rng(n).uniform(-7.0, 7.0, size=(n, 2))
         for alpha in (0.0, 0.05, 1.0, 2.0):
-            assert distance_weights(pts, alpha).tobytes() == full_weights(pts, alpha).tobytes()
+            assert mirrored(weight_slabs(pts, alpha), n).tobytes() == full_weights(pts, alpha).tobytes()
 
     def test_weights_alpha_zero_unit_off_diagonal(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        w = distance_weights(pts, 0.0)
-        assert w[0, 1] == 1.0
+        (slab,) = weight_slabs(pts, 0.0)
+        assert slab.tolist() == [[0.0, 1.0]]
+        assert full_weights(pts, 0.0)[0, 1] == 1.0
 
     def test_report_invariants(self):
         report = CorrelationReport(max_value=0.5, arg_pair=(1, 4))

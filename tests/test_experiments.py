@@ -262,6 +262,14 @@ class TestRunSnrSweep:
         assert bundle.summary["lowest_snr_db"] == -10.0
         assert bundle.summary["highest_snr_db"] == 20.0
 
+    def test_checks_run_at_the_lowest_level_the_midpoint_resolves(self, bundle):
+        by_key = {(row[0], row[1]): row[2] for row in bundle.tables["snr"].rows}
+        means = bundle.summary["midpoint_mean_rmse"]
+        assert means[0] >= 1.0 > means[1]
+        assert bundle.summary["check_snr_db"] == 20.0
+        assert bundle.summary["gap_at_check_snr"] == by_key[(20.0, "midpoint")] - by_key[(20.0, "optimized")]
+        assert "check_snr_error" not in bundle.summary
+
     def test_checks_pass_at_desk_scale(self, bundle):
         assert bundle.checks["optimized_leq_midpoint_at_lowest_snr"] is True
         assert bundle.checks["gap_narrows_with_snr"] is True

@@ -8,6 +8,7 @@ projection that the rank-one kernel replaced is kept below as the reference:
 """
 
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from isacdeploy.geometry import (
 )
 from isacdeploy import music
 from isacdeploy.music import LocalizationStats, _localize_indices, _point_rmse, localize, rmse_map
-from isacdeploy.signals import PowerLevels, generate_snapshots, sample_covariance, snr_to_powers
+from isacdeploy.signals import PowerLevels, SnapshotWorkspace, generate_snapshots, sample_covariance, snr_to_powers
 
 
 def population_covariance(a, signal_power, noise_power):
@@ -249,6 +250,46 @@ class TestRmseMap:
         threaded = rmse_map(dep, small_scenario, 3, np.random.default_rng(50), threads=4)
         assert np.array_equal(serial.per_point_rmse, threaded.per_point_rmse)
 
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_threaded_reference_map_matches_serial(self, monkeypatch, threads):
+        # workers on the reference scenario, each drawing into its own workspace;
+        # a short switch interval makes threads interleave inside the kernel
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)
+        scenario = Scenario()
+        dep = midpoint_baseline(scenario)
+        serial = rmse_map(dep, scenario, 3, np.random.default_rng(59))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = rmse_map(dep, scenario, 3, np.random.default_rng(59), threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial.per_point_rmse, threaded.per_point_rmse)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_workspace_per_worker_thread(self, small_scenario, monkeypatch, threads):
+        made = []
+
+        class CountedWorkspace(SnapshotWorkspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(music, "SnapshotWorkspace", CountedWorkspace)
+        stats = rmse_map(midpoint_baseline(small_scenario), small_scenario, 3, np.random.default_rng(60), threads=threads)
+        assert 1 <= len(made) <= threads < stats.per_point_rmse.size
+
+    @pytest.mark.parametrize("powers", [snr_to_powers(0.0), PowerLevels(1.0, 0.0)], ids=["noisy", "noiseless"])
+    def test_a_stale_workspace_gives_the_fresh_value(self, baseline_book, small_scenario, powers):
+        m, t = baseline_book.steering.shape[0], small_scenario.snapshot_count
+        stale = SnapshotWorkspace(4, m, t)
+        for buffer in (stale.snapshots, stale.sources, stale.scratch):
+            buffer.fill(np.nan)
+        for index in (0, 17, 30):
+            fresh = _point_rmse(baseline_book, index, powers, np.random.default_rng(index), SnapshotWorkspace(4, m, t))
+            assert _point_rmse(baseline_book, index, powers, np.random.default_rng(index), stale) == fresh
+
     def test_pool_never_exceeds_the_core_count(self, small_scenario, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-core machine must not start a thread pool")
@@ -285,7 +326,8 @@ class TestRmseMap:
             assert np.array_equal(stats.per_point_rmse, want)
 
     def test_one_1000_trial_point_peak_memory(self):
-        # the (trials, M, T) snapshot block and its draws dominate a point's memory
+        # the (trials, M, T) snapshot stack dominates a point's memory; the
+        # draws and the chunked a*s and conjugate reuse a scratch of a few trials
         scenario = Scenario()
         book = build_codebook(midpoint_baseline(scenario), scenario)
         trials, (m, _), t = 1000, book.steering.shape, scenario.snapshot_count
@@ -294,11 +336,11 @@ class TestRmseMap:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _point_rmse(book, 100, t, trials, snr_to_powers(0.0), np.random.default_rng(58))
+            _point_rmse(book, 100, snr_to_powers(0.0), np.random.default_rng(58), SnapshotWorkspace(trials, m, t))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * block, f"peak {peak / 2**20:.1f} MiB is {peak / block:.2f} blocks"
+        assert peak <= 1.6 * block, f"peak {peak / 2**20:.1f} MiB is {peak / block:.2f} blocks"
 
     def test_rejects_bad_trials(self, small_scenario):
         with pytest.raises(ValueError):

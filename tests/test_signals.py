@@ -7,9 +7,11 @@ so every run sees the same draws; algebraic identities are checked exactly.
 import numpy as np
 import pytest
 
+from isacdeploy import signals
 from isacdeploy.geometry import Scenario, deployment_layout, midpoint_baseline, steering_vector
 from isacdeploy.signals import (
     PowerLevels,
+    SnapshotWorkspace,
     complex_normal,
     generate_snapshots,
     sample_covariance,
@@ -86,6 +88,54 @@ class TestComplexNormal:
         assert np.array_equal(complex_normal(np.random.default_rng(6), (5, 12, 40), variance), want)
 
 
+    def test_reused_buffers_match_a_fresh_call(self):
+        # a NaN-filled out and a scratch shorter than one half draw the same samples
+        want = complex_normal(np.random.default_rng(6), (5, 12, 40), 2.0)
+        for size in (1, 7, 1200, 2400, 10_000):
+            out = np.full((5, 12, 40), np.nan, dtype=complex)
+            got = complex_normal(np.random.default_rng(6), (5, 12, 40), 2.0, out=out, scratch=np.full(size, np.nan))
+            assert got is out
+            assert np.array_equal(got, want)
+
+    def test_zero_variance_fills_the_output_and_draws_nothing(self):
+        rng = np.random.default_rng(11)
+        out = np.full((3, 4), np.nan, dtype=complex)
+        assert complex_normal(rng, (3, 4), 0.0, out=out) is out
+        assert np.array_equal(out, np.zeros((3, 4), dtype=complex))
+        assert rng.standard_normal() == np.random.default_rng(11).standard_normal()
+
+    def test_rejects_an_output_it_cannot_fill(self):
+        rng = np.random.default_rng(0)
+        for out in (np.empty((4, 3), dtype=complex), np.empty((3, 4)), np.empty((4, 3), dtype=complex).T):
+            with pytest.raises(ValueError, match="C-contiguous complex array of shape"):
+                complex_normal(rng, (3, 4), 1.0, out=out)
+
+
+class TestNumpyStream:
+    """The stream identities the in-place draws rely on. If a numpy release
+    breaks one, these fail instead of every Monte Carlo map changing silently."""
+
+    def test_out_draw_equals_a_shaped_draw(self):
+        buf = np.empty((4, 12, 50))
+        np.random.default_rng(21).standard_normal(out=buf)
+        assert np.array_equal(buf, np.random.default_rng(21).standard_normal((4, 12, 50)))
+
+    def test_two_half_draws_equal_one_stacked_draw(self):
+        rng = np.random.default_rng(22)
+        real, imag = np.empty((4, 12, 50)), np.empty((4, 12, 50))
+        rng.standard_normal(out=real)
+        rng.standard_normal(out=imag)
+        want = np.random.default_rng(22).standard_normal((2, 4, 12, 50))
+        assert np.array_equal(real, want[0]) and np.array_equal(imag, want[1])
+
+    def test_consecutive_piece_draws_equal_one_draw(self):
+        want = np.random.default_rng(23).standard_normal(2400)
+        for piece in (1, 7, 1000, 2399):
+            rng, got = np.random.default_rng(23), np.empty(2400)
+            for i0 in range(0, got.size, piece):
+                rng.standard_normal(out=got[i0 : i0 + piece])
+            assert np.array_equal(got, want)
+
 class TestSnapshots:
     def test_shape_and_determinism(self, reference_steering):
         p = snr_to_powers(0.0)
@@ -142,6 +192,29 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             generate_snapshots(np.ones((2, 2)), snr_to_powers(0.0), 4, np.random.default_rng(0))
 
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 3 * 12 * 16 * 16, 1 << 30])
+    def test_trial_chunks_give_the_whole_stack_bits(self, reference_steering, monkeypatch, chunk_bytes):
+        # one trial, three trials or the whole stack per chunk of a·s and of the conjugate
+        powers = PowerLevels(2.0, 0.5)
+        want = generate_snapshots(reference_steering, powers, 16, np.random.default_rng(12), trials=7)
+        r = (want @ want.conj().swapaxes(-1, -2)) / 16
+        want_covs = 0.5 * (r + r.conj().swapaxes(-1, -2))
+        monkeypatch.setattr(signals, "CHUNK_BYTES", chunk_bytes)
+        work = SnapshotWorkspace(7, reference_steering.size, 16)
+        assert len(work.scratch) == {1: 1, 3 * 12 * 16 * 16: 3, 1 << 30: 7}[chunk_bytes]
+        assert np.array_equal(work.draw(reference_steering, powers, np.random.default_rng(12)), want)
+        assert np.array_equal(work.covariances(), want_covs)
+        assert np.array_equal(sample_covariance(want), want_covs)
+
+    def test_a_reused_workspace_keeps_nothing_from_the_last_draw(self, reference_steering):
+        work = SnapshotWorkspace(3, reference_steering.size, 16)
+        for powers in (snr_to_powers(0.0), PowerLevels(1.0, 0.0), PowerLevels(0.0, 1.0)):
+            for buffer in (work.snapshots, work.sources, work.scratch):
+                buffer.fill(np.nan)
+            want = generate_snapshots(reference_steering, powers, 16, np.random.default_rng(13), trials=3)
+            assert np.array_equal(work.draw(reference_steering, powers, np.random.default_rng(13)), want)
+            assert np.array_equal(work.covariances(), sample_covariance(want))
 
 class TestSampleCovariance:
     def test_single_snapshot_outer_product_exact(self, reference_steering):
