@@ -21,7 +21,7 @@ from isacdeploy import (
     midpoint_baseline,
     pearson,
     random_deployment,
-    rmse_map,
+    rmse_maps,
     run_ga,
 )
 
@@ -38,14 +38,15 @@ candidates = {"optimized": decode_chromosome(result.best), "midpoint": midpoint_
 for k in range(8):
     candidates[f"random-{k}"] = random_deployment(scenario, derived_rng(seed, 1, k))
 
-# Score each deployment on both axes. Every Monte Carlo run reuses the same
-# noise stream (common random numbers), so differences reflect geometry.
+# Score each deployment on both axes. One Monte Carlo pass covers them all:
+# every deployment sees the same noise draws (common random numbers), so
+# differences reflect geometry.
+maps = rmse_maps(list(candidates.values()), scenario, trials=8, rng=derived_rng(seed, 2))
 rows = []
-for name, deployment in candidates.items():
+for (name, deployment), stats in zip(candidates.items(), maps):
     rho = max_weighted_correlation(build_codebook(deployment, scenario)).max_value
-    rmse = rmse_map(deployment, scenario, trials=8, rng=derived_rng(seed, 2)).max_rmse
-    rows.append((name, rho, rmse))
-    print(f"{name:<10} max rho {rho:.4f}   max RMSE {rmse:.3f} m")
+    rows.append((name, rho, stats.max_rmse))
+    print(f"{name:<10} max rho {rho:.4f}   max RMSE {stats.max_rmse:.3f} m")
 
 best_rho = min(rows, key=lambda row: row[1])
 best_rmse = min(rows, key=lambda row: row[2])

@@ -54,9 +54,16 @@ class ExperimentSettings:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         for name in ("random_deployment_count", "trials_per_point"):
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 1))
+        if self.kind == "alpha-sweep" and self.random_deployment_count < 2:
+            raise ValueError(
+                "random_deployment_count must be >= 2 for alpha-sweep (a Pearson coefficient needs two "
+                f"deployments), got {self.random_deployment_count!r}"
+            )
         alphas = tuple(float(a) for a in self.alpha_values)
         if not alphas or any(not np.isfinite(a) or a < 0 for a in alphas):
             raise ValueError(f"alpha_values must be a non-empty list of values >= 0, got {self.alpha_values!r}")
+        if len(set(alphas)) < len(alphas):
+            raise ValueError(f"alpha_values must list each value once, got {self.alpha_values!r}")
         snrs = tuple(float(s) for s in self.snr_values_db)
         if not snrs:
             raise ValueError(f"snr_values_db must be a non-empty list of finite values, got {self.snr_values_db!r}")
@@ -65,6 +72,8 @@ class ExperimentSettings:
                 snr_to_powers(snr_db)
             except ValueError as exc:
                 raise ValueError(f"snr_values_db[{index}]: {exc}") from None
+        if len(set(snrs)) < len(snrs):
+            raise ValueError(f"snr_values_db must list each level once, got {self.snr_values_db!r}")
         nodes = tuple(self.node_counts)
         if not nodes:
             raise ValueError(f"node_counts must be a non-empty list of integers >= 1, got {self.node_counts!r}")

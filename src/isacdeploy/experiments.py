@@ -8,8 +8,8 @@ The drivers share four helpers. `_deployments` builds the placements a
 comparison needs: the named ones ("optimized" from one GA run and, for
 three-node scenarios, the "midpoint" baseline) and the random ensemble.
 `_spread` gives an ensemble's best/mean/worst, `_max_rho`/`_worst_pair` and
-`_max_rmse` give the two metrics, and `_bundle` puts `kind` and `seed` first
-in every summary.
+`_rmse_stats` (one `rmse_maps` call per ensemble) give the two metrics, and
+`_bundle` puts `kind` and `seed` first in every summary.
 
 Seed scheme: every stochastic ingredient derives an independent generator
 from the master seed plus a fixed integer key path - (0, ...) for GA runs,
@@ -30,7 +30,7 @@ from .config import ExperimentConfig, ExperimentSettings
 from .correlation import CorrelationReport, build_codebook, max_weighted_correlation, pearson
 from .ga import decode_chromosome, run_ga
 from .geometry import Deployment, deployment_violations, midpoint_baseline, random_deployment
-from .music import LocalizationStats, rmse_map
+from .music import LocalizationStats, rmse_maps
 
 _GA_STREAM = 0
 _ENSEMBLE_STREAM = 1
@@ -86,13 +86,9 @@ def _max_rho(deployment, scenario) -> float:
     return max_weighted_correlation(build_codebook(deployment, scenario)).max_value
 
 
-def _rmse_stats(deployment, scenario, settings, threads: int) -> LocalizationStats:
+def _rmse_stats(deployments, scenario, settings, threads: int) -> list[LocalizationStats]:
     rng = derived_rng(settings.seed, _NOISE_STREAM)
-    return rmse_map(deployment, scenario, settings.trials_per_point, rng, threads=threads)
-
-
-def _max_rmse(deployment, scenario, settings, threads: int) -> float:
-    return _rmse_stats(deployment, scenario, settings, threads).max_rmse
+    return rmse_maps(deployments, scenario, settings.trials_per_point, rng, threads=threads)
 
 
 def _spread(values) -> dict[str, float]:
@@ -164,10 +160,10 @@ def run_montecarlo(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
     scenario, settings = config.scenario, config.experiment
     named, ensemble = _deployments(config)
     entries = {**named, **{f"random-{k}": dep for k, dep in enumerate(ensemble)}}
-    rows = []
-    for name, deployment in entries.items():
-        rmse = _max_rmse(deployment, scenario, settings, threads) if settings.music else float("nan")
-        rows.append((name, _max_rho(deployment, scenario), rmse))
+    rmses = [float("nan")] * len(entries)
+    if settings.music:
+        rmses = [stats.max_rmse for stats in _rmse_stats(list(entries.values()), scenario, settings, threads)]
+    rows = [(name, _max_rho(dep, scenario), rmse) for (name, dep), rmse in zip(entries.items(), rmses)]
     rho_by_id = {name: rho for name, rho, _ in rows}
     random_rows = rows[len(named):]
     random_rhos = [rho for _, rho, _ in random_rows]
@@ -202,15 +198,11 @@ def run_alpha_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBund
     """
     scenario, settings = config.scenario, config.experiment
     ensemble = _random_ensemble(scenario, settings)
-    rmses = [_max_rmse(dep, scenario, settings, threads) for dep in ensemble]
-    rows = []
-    gamma_by_alpha = {}
-    for alpha in settings.alpha_values:
-        at_alpha = replace(scenario, alpha=alpha)
-        rhos = [_max_rho(dep, at_alpha) for dep in ensemble]
-        gamma = pearson(rhos, rmses)
-        gamma_by_alpha[alpha] = gamma
-        rows.append((alpha, gamma))
+    rmses = [stats.max_rmse for stats in _rmse_stats(ensemble, scenario, settings, threads)]
+    gamma_by_alpha = {
+        alpha: pearson([_max_rho(dep, replace(scenario, alpha=alpha)) for dep in ensemble], rmses)
+        for alpha in settings.alpha_values
+    }
     peak_alpha = max(gamma_by_alpha, key=gamma_by_alpha.get)
     summary = {
         "deployment_count": len(ensemble),
@@ -218,7 +210,7 @@ def run_alpha_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBund
         "peak_gamma": gamma_by_alpha[peak_alpha],
     }
     checks = {"gamma_positive_for_all_alpha": all(g > 0.0 for g in gamma_by_alpha.values())}
-    tables = {"gamma": Table(("alpha", "gamma"), rows)}
+    tables = {"gamma": Table(("alpha", "gamma"), gamma_by_alpha.items())}
     return _bundle(settings, summary, tables, {}, checks)
 
 
@@ -237,18 +229,16 @@ def run_snr_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle
     scenario, settings = config.scenario, config.experiment
     named, ensemble = _deployments(config)
     rows = []
-    curves: dict[str, list[float]] = {name: [] for name in named}
-    midpoint_means = []
+    series: dict[str, list[LocalizationStats]] = {name: [] for name in named}
     for snr_db in settings.snr_values_db:
         at_snr = replace(scenario, snr_db=float(snr_db))
-        for name, deployment in named.items():
-            stats = _rmse_stats(deployment, at_snr, settings, threads)
-            curves[name].append(stats.max_rmse)
+        maps = _rmse_stats([*named.values(), *ensemble], at_snr, settings, threads)
+        for name, stats in zip(named, maps):
+            series[name].append(stats)
             rows.append((snr_db, name, stats.max_rmse))
-            if name == "midpoint":
-                midpoint_means.append(float(np.mean(stats.per_point_rmse)))
-        spread = _spread([_max_rmse(dep, at_snr, settings, threads) for dep in ensemble])
+        spread = _spread([stats.max_rmse for stats in maps[len(named):]])
         rows.extend((snr_db, f"random-{stat}", value) for stat, value in spread.items())
+    curves = {name: [stats.max_rmse for stats in by_level] for name, by_level in series.items()}
     summary = {
         "snr_values_db": list(settings.snr_values_db),
         "lowest_snr_db": min(settings.snr_values_db),
@@ -259,6 +249,7 @@ def run_snr_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle
         levels = settings.snr_values_db
         gaps = [mid - opt for mid, opt in zip(curves["midpoint"], curves["optimized"])]
         high = int(np.argmax(levels))
+        midpoint_means = [float(np.mean(stats.per_point_rmse)) for stats in series["midpoint"]]
         check = min(
             (k for k, mean in enumerate(midpoint_means) if mean < scenario.grid_resolution),
             key=levels.__getitem__,
@@ -302,7 +293,7 @@ def run_node_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
         compared = [optimized, *ensemble]
         metrics = {"max_rho": [_max_rho(dep, at_count) for dep in compared]}
         if settings.music:
-            metrics["max_rmse"] = [_max_rmse(dep, at_count, settings, threads) for dep in compared]
+            metrics["max_rmse"] = [stats.max_rmse for stats in _rmse_stats(compared, at_count, settings, threads)]
         stats = {}
         for metric, (value, *ensemble_values) in metrics.items():
             spread = {"optimized": value, **_spread(ensemble_values)}
@@ -337,7 +328,7 @@ def run_evaluate(config: ExperimentConfig, deployment: Deployment, *, threads: i
     if violations:
         raise InfeasibleDeploymentError(violations)
     report, worst_pair = _worst_pair(deployment, scenario)
-    max_rmse = _max_rmse(deployment, scenario, settings, threads) if settings.music else None
+    max_rmse = _rmse_stats([deployment], scenario, settings, threads)[0].max_rmse if settings.music else None
     rmse_cell = float("nan") if max_rmse is None else max_rmse
     summary = {
         "music": settings.music,

@@ -9,12 +9,11 @@ so the projected power is 1 - |u1^H a|^2: the localizer takes the argmax of
 M - 1. Ties go to the lowest grid index.
 
 `_localize_indices` does this for a whole stack of covariances; `localize`
-checks one covariance and calls it, and `rmse_map` calls it on the
-covariances of one snapshot stack per grid point. Each `rmse_map` worker
-thread draws its stacks into one `signals.SnapshotWorkspace`, made on the
-thread's first grid point and reused for the rest of the map, so a point
-allocates no snapshot-sized block. A 1000-trial point at the reference
-scenario peaks at 1.43 times its (trials, M, T) complex stack (52.5 MiB).
+calls it on one covariance, and `rmse_maps` on each grid point's stack for
+every deployment of an ensemble. Each worker thread draws its share of the
+grid points into one `signals.SnapshotWorkspace`; a point's source and noise
+blocks serve every deployment, and only y = a*s + n and its reduction are
+per deployment. `rmse_map` is the map of one deployment.
 
 Monte Carlo RMSE maps draw per-grid-point child streams from the caller's
 generator, so identically seeded generators give common random numbers
@@ -24,7 +23,6 @@ across deployments and SNR levels - paired comparisons see the same noise.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,7 +38,6 @@ class LocalizationStats:
     """Per-grid-point localization RMSE (grid order) and its network-wide max."""
 
     per_point_rmse: np.ndarray
-    max_rmse: float
     trials_per_point: int
 
     def __post_init__(self):
@@ -49,13 +46,13 @@ class LocalizationStats:
             raise ValueError("per_point_rmse must be a non-empty 1-D array")
         if not np.all(rmse >= 0.0):
             raise ValueError("RMSE entries must be >= 0")
-        if self.max_rmse != float(np.max(rmse)):
-            raise ValueError(
-                f"max_rmse {self.max_rmse!r} does not equal the largest per-point value {np.max(rmse)!r}"
-            )
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         object.__setattr__(self, "per_point_rmse", rmse)
+
+    @property
+    def max_rmse(self) -> float:
+        return float(np.max(self.per_point_rmse))
 
 
 def _localize_indices(covs, steering: np.ndarray) -> np.ndarray:
@@ -85,17 +82,64 @@ def localize(cov, codebook: GridCodebook) -> np.ndarray:
     return codebook.grid[_localize_indices(cov, codebook.steering)].copy()
 
 
-def _point_rmse(codebook: GridCodebook, index: int, powers: PowerLevels, rng, work: SnapshotWorkspace) -> float:
-    """RMSE of the batched localizations of the target at grid point `index`.
+def _point_rmse(codebooks: list[GridCodebook], index: int, powers: PowerLevels, rng, work: SnapshotWorkspace):
+    """RMSE of each codebook's batched localizations of the target at point `index` of their common grid.
 
     `work` sets the trial and snapshot counts and is overwritten. Stream order
     per point: one source block (trials, T), then one noise block
-    (trials, M, T), as `SnapshotWorkspace.draw` takes them.
+    (trials, M, T), as `SnapshotWorkspace.draw` takes them; all codebooks share them.
     """
-    work.draw(codebook.steering[:, index], powers, rng)
-    estimates = _localize_indices(work.covariances(), codebook.steering)
-    squared_error = np.sum((codebook.grid[estimates] - codebook.grid[index]) ** 2, axis=1)
-    return float(np.sqrt(np.mean(squared_error)))
+    work.draw(powers, rng)
+    estimates = [_localize_indices(work.covariances(book.steering[:, index]), book.steering) for book in codebooks]
+    grid = codebooks[0].grid
+    squared_error = np.sum((grid[np.array(estimates)] - grid[index]) ** 2, axis=-1)
+    return np.sqrt(np.mean(squared_error, axis=-1))
+
+
+def rmse_maps(
+    deployments: list[Deployment],
+    scenario: Scenario,
+    trials: int,
+    rng: np.random.Generator,
+    *,
+    powers: PowerLevels | None = None,
+    threads: int = 1,
+) -> list[LocalizationStats]:
+    """Monte Carlo localization RMSE at every coverage-grid point, one map per deployment.
+
+    Each grid point gets its own child stream spawned from `rng` in grid
+    order, drawn once for all deployments (which must have equal element
+    counts), so each map is reproducible, independent of `threads` and of the
+    other deployments. The pool has at most one worker per CPU core, however
+    large `threads` is. `powers` overrides the scenario SNR (e.g. a zero noise power).
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    if powers is None:
+        powers = snr_to_powers(scenario.snr_db)
+    codebooks = [build_codebook(deployment, scenario) for deployment in deployments]
+    if not codebooks:
+        return []
+    m, n = codebooks[0].steering.shape
+    if any(book.steering.shape[0] != m for book in codebooks):
+        raise ValueError(f"deployments must have the same number of array elements ({m} in the first)")
+    streams = rng.spawn(n)
+    per_point = np.empty((len(codebooks), n))
+
+    def run_points(points: range) -> None:
+        work = SnapshotWorkspace(trials, m, scenario.snapshot_count)
+        for i in points:
+            per_point[:, i] = _point_rmse(codebooks, i, powers, streams[i], work)
+
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_points, [range(k, n, workers) for k in range(workers)]))
+    else:
+        run_points(range(n))
+    return [LocalizationStats(rmse, trials) for rmse in per_point]
 
 
 def rmse_map(
@@ -107,39 +151,5 @@ def rmse_map(
     powers: PowerLevels | None = None,
     threads: int = 1,
 ) -> LocalizationStats:
-    """Monte Carlo localization RMSE at every coverage-grid point.
-
-    Each grid point gets its own child stream spawned from `rng` in grid
-    order, so results are reproducible for a given seed, independent of
-    `threads`, and use common random numbers across deployments. The pool
-    has at most one worker per CPU core, however large `threads` is.
-    `powers` overrides the scenario SNR (e.g. a zero noise power).
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
-    if powers is None:
-        powers = snr_to_powers(scenario.snr_db)
-    codebook = build_codebook(deployment, scenario)
-    n = len(codebook.grid)
-    streams = rng.spawn(n)
-    per_point = np.empty(n)
-    local = threading.local()
-
-    def run_point(i: int) -> None:
-        work = getattr(local, "work", None)
-        if work is None:
-            work = local.work = SnapshotWorkspace(trials, codebook.steering.shape[0], scenario.snapshot_count)
-        per_point[i] = _point_rmse(codebook, i, powers, streams[i], work)
-
-    workers = min(threads, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_point, range(n)))
-    else:
-        for i in range(n):
-            run_point(i)
-    return LocalizationStats(
-        per_point_rmse=per_point, max_rmse=float(np.max(per_point)), trials_per_point=trials
-    )
+    """Monte Carlo localization RMSE at every coverage-grid point of one deployment (see `rmse_maps`)."""
+    return rmse_maps([deployment], scenario, trials, rng, powers=powers, threads=threads)[0]

@@ -6,15 +6,15 @@ i.i.d. circularly-symmetric complex Gaussian noise of per-element variance
 sigma^2. A Gaussian source makes the population covariance exactly
 E * a a^H + sigma^2 * I.
 
-A `SnapshotWorkspace` holds the buffers of one (trials, M, T) stack: the
-snapshots, the source block and a scratch of a few trials. `draw` fills the
-stack in place (the normal draws pass through the scratch in pieces and are
-scaled straight into the stack; a*s is added one chunk of trials at a time)
-and `covariances` conjugates one chunk at a time, so a reused workspace
-allocates only the (trials, M, M) covariances. `music.rmse_map` keeps one per
-worker thread; `generate_snapshots` and `sample_covariance` run the same code
-on fresh buffers. Draws, their order and every bit of the results are those
-of one whole-stack computation.
+A `SnapshotWorkspace` holds the source block s and noise block n of one
+(trials, M, T) stack. `draw` fills them, the normal draws passing through a
+scratch in pieces; `covariances(a)` builds y = a*s + n for a steering vector
+a one chunk of trials at a time and reduces each chunk as it is built, so a
+reused workspace allocates only the (trials, M, M) covariances.
+`music.rmse_maps` keeps one per worker thread and reduces each draw for every
+deployment; `generate_snapshots` and `sample_covariance` run the same code on
+fresh buffers. Draws, their order and every bit of the results are those of
+one whole-stack computation.
 """
 
 from __future__ import annotations
@@ -102,66 +102,66 @@ def complex_normal(rng: np.random.Generator, shape, variance: float, out=None, s
     return out
 
 
-def _scratch(trials: int, m: int, t: int) -> np.ndarray:
-    """Complex (k, m, t) scratch: about `CHUNK_BYTES` of whole trials, at least one."""
+def _scratch(trials: int, m: int, t: int, *lead: int) -> np.ndarray:
+    """Complex (*lead, k, m, t) scratch: k whole trials of about `CHUNK_BYTES`, at least one."""
     per_trial = max(1, m * t) * np.dtype(complex).itemsize
-    return np.empty((max(1, min(trials, CHUNK_BYTES // per_trial)), m, t), dtype=complex)
+    return np.empty(lead + (max(1, min(trials, CHUNK_BYTES // per_trial)), m, t), dtype=complex)
 
 
-def _chunks(stack: np.ndarray, scratch: np.ndarray):
-    """(rows, buffer) pairs that walk `stack` one scratch-full of trials at a time."""
-    for k0 in range(0, len(stack), len(scratch)):
-        rows = slice(k0, min(k0 + len(scratch), len(stack)))
-        yield rows, scratch[: rows.stop - k0]
+def _chunks(trials: int, size: int):
+    """Slices that walk `trials` rows `size` at a time."""
+    return (slice(k0, min(k0 + size, trials)) for k0 in range(0, trials, size))
 
 
-def _stack_covariance(y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """`sample_covariance` of a (K, M, T) stack, conjugating a scratch-full of trials at a time.
+def _stack_covariance(chunks, shape, scratch: np.ndarray) -> np.ndarray:
+    """`sample_covariance` of a (K, M, T) stack given as (rows, y[rows]) chunks, conjugating each into `scratch`.
 
     numpy's stacked matmul runs one product per trial, so the chunks give the
     bits of one whole-stack `y @ y^H`.
     """
-    r = np.empty(y.shape[:-1] + y.shape[-2:-1], dtype=complex)
-    for rows, part in _chunks(y, scratch):
-        np.conjugate(y[rows], out=part)
-        np.matmul(y[rows], part.swapaxes(-1, -2), out=r[rows])
-    r /= y.shape[-1]
+    r = np.empty(shape[:-1] + shape[-2:-1], dtype=complex)
+    for rows, y in chunks:
+        part = scratch[: len(y)]
+        np.conjugate(y, out=part)
+        np.matmul(y, part.swapaxes(-1, -2), out=r[rows])
+    r /= shape[-1]
     return 0.5 * (r + r.conj().swapaxes(-1, -2))
 
 
 class SnapshotWorkspace:
-    """Buffers for drawing a (trials, M, T) snapshot stack and its covariances, reused draw after draw.
+    """Buffers for one (trials, M, T) snapshot stack and its covariances, reused draw after draw.
 
-    `snapshots` holds the stack y, `sources` its (trials, T) source block and
-    `scratch` a few trials of complex scratch: the raw normal draws pass
-    through its float view, and the a*s products and the conjugates for
-    y y^H are built in it one chunk of trials at a time. Every step writes a
-    buffer before reading it, so nothing carries over from one draw to the next.
+    `sources` holds the (trials, T) source block s and `noise` the noise block
+    n. `scratch` holds two chunks of a few trials: the raw normal draws pass
+    through its float view, and the snapshots y = a*s + n of one chunk and
+    their conjugates for y y^H are built in it. Every step writes a buffer
+    before reading it, so nothing carries over from one draw to the next.
     """
 
     def __init__(self, trials: int, m: int, t: int):
-        self.snapshots = np.empty((trials, m, t), dtype=complex)
+        self.noise = np.empty((trials, m, t), dtype=complex)
         self.sources = np.empty((trials, t), dtype=complex)
-        self.scratch = _scratch(trials, m, t)
+        self.scratch = _scratch(trials, m, t, 2)
 
-    def draw(self, a: np.ndarray, powers: PowerLevels, rng: np.random.Generator) -> np.ndarray:
-        """Fill and return `snapshots`: y = a*s + n for the steering vector `a`.
-
-        Stream order: all source samples s (variance E), then all noise
-        samples (variance sigma^2).
-        """
-        y, s = self.snapshots, self.sources
+    def draw(self, powers: PowerLevels, rng: np.random.Generator) -> None:
+        """Fill `sources` and `noise`. Stream order: all source samples s
+        (variance E), then all noise samples (variance sigma^2)."""
         draws = self.scratch.reshape(-1).view(float)
-        complex_normal(rng, s.shape, powers.signal_power, out=s, scratch=draws)
-        complex_normal(rng, y.shape, powers.noise_power, out=y, scratch=draws)
-        for rows, part in _chunks(y, self.scratch):
-            np.multiply(a[:, np.newaxis], s[rows, np.newaxis, :], out=part)
-            y[rows] += part
-        return y
+        complex_normal(rng, self.sources.shape, powers.signal_power, out=self.sources, scratch=draws)
+        complex_normal(rng, self.noise.shape, powers.noise_power, out=self.noise, scratch=draws)
 
-    def covariances(self) -> np.ndarray:
-        """`sample_covariance` of `snapshots`, shape (trials, M, M)."""
-        return _stack_covariance(self.snapshots, self.scratch)
+    def snapshots(self, a: np.ndarray):
+        """(rows, y[rows]) chunks of the stack y = a*s + n of the steering
+        vector `a`, each built in the scratch and overwritten by the next."""
+        for rows in _chunks(len(self.noise), len(self.scratch[0])):
+            part = self.scratch[0, : rows.stop - rows.start]
+            np.multiply(a[:, np.newaxis], self.sources[rows, np.newaxis, :], out=part)
+            part += self.noise[rows]
+            yield rows, part
+
+    def covariances(self, a: np.ndarray) -> np.ndarray:
+        """`sample_covariance` of the snapshots of `a`, shape (trials, M, M)."""
+        return _stack_covariance(self.snapshots(a), self.noise.shape, self.scratch[1])
 
 
 def generate_snapshots(
@@ -172,7 +172,7 @@ def generate_snapshots(
     With `trials`, a stack of `trials` independent matrices. Stream order: all
     source samples s (variance E), then all noise samples (variance sigma^2),
     so trials=1 draws what the unbatched call draws. Each call draws into a
-    fresh `SnapshotWorkspace`.
+    fresh `SnapshotWorkspace` and writes each chunk of y over its noise rows.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1 or a.size < 1:
@@ -181,8 +181,11 @@ def generate_snapshots(
         raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots!r}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    y = SnapshotWorkspace(1 if trials is None else trials, a.size, n_snapshots).draw(a, powers, rng)
-    return y[0] if trials is None else y
+    work = SnapshotWorkspace(1 if trials is None else trials, a.size, n_snapshots)
+    work.draw(powers, rng)
+    for rows, part in work.snapshots(a):
+        work.noise[rows] = part
+    return work.noise[0] if trials is None else work.noise
 
 
 def sample_covariance(batch) -> np.ndarray:
@@ -192,5 +195,6 @@ def sample_covariance(batch) -> np.ndarray:
     if y.ndim < 2 or y.shape[-1] < 1:
         raise ValueError(f"batch must be a (..., M, T) array with T >= 1, got shape {y.shape}")
     stack = y.reshape((math.prod(y.shape[:-2]),) + y.shape[-2:])
-    r = _stack_covariance(stack, _scratch(len(stack), *y.shape[-2:]))
+    scratch = _scratch(len(stack), *y.shape[-2:])
+    r = _stack_covariance(((rows, stack[rows]) for rows in _chunks(len(stack), len(scratch))), stack.shape, scratch)
     return r.reshape(y.shape[:-1] + y.shape[-2:-1])

@@ -45,7 +45,7 @@ from isacdeploy.geometry import (
     random_deployment,
     steering_matrix,
 )
-from isacdeploy.music import localize, rmse_map
+from isacdeploy.music import localize, rmse_map, rmse_maps
 from isacdeploy.signals import PowerLevels, generate_snapshots, sample_covariance
 
 SEED = 2026
@@ -109,9 +109,7 @@ def ensemble_rho(scenario, random_ensemble):
 
 @pytest.fixture(scope="module")
 def ensemble_rmse(scenario, random_ensemble):
-    return [
-        rmse_map(d, scenario, TRIALS, derived_rng(SEED, 2)).max_rmse for d in random_ensemble
-    ]
+    return [stats.max_rmse for stats in rmse_maps(random_ensemble, scenario, TRIALS, derived_rng(SEED, 2))]
 
 
 def random_steering_pairs(scenario, grid, rng, count):
@@ -245,8 +243,9 @@ def test_criterion_08_deployment_ordering(
     assert ga_result.best_fitness < min(ensemble_rho)
     assert ga_result.best_fitness < midpoint_rho
 
-    optimized_rmse = rmse_map(optimized, scenario, TRIALS, derived_rng(SEED, 2)).max_rmse
-    midpoint_rmse = rmse_map(midpoint, scenario, TRIALS, derived_rng(SEED, 2)).max_rmse
+    optimized_rmse, midpoint_rmse = (
+        stats.max_rmse for stats in rmse_maps([optimized, midpoint], scenario, TRIALS, derived_rng(SEED, 2))
+    )
     assert optimized_rmse < midpoint_rmse
     beaten = sum(optimized_rmse < value for value in ensemble_rmse)
     assert beaten >= 0.9 * ENSEMBLE_SIZE
@@ -335,8 +334,7 @@ def test_criterion_10_low_snr_advantage(scenario, optimized, midpoint):
     mean_rmse = {}
     for snr_db in (low_db, 20.0):
         at_snr = replace(scenario, snr_db=snr_db)
-        opt = rmse_map(optimized, at_snr, SNR_TRIALS, derived_rng(SEED, 2))
-        mid = rmse_map(midpoint, at_snr, SNR_TRIALS, derived_rng(SEED, 2))
+        opt, mid = rmse_maps([optimized, midpoint], at_snr, SNR_TRIALS, derived_rng(SEED, 2))
         gap[snr_db] = mid.max_rmse - opt.max_rmse
         mean_rmse[snr_db] = (float(np.mean(opt.per_point_rmse)),
                              float(np.mean(mid.per_point_rmse)))

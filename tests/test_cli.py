@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from isacdeploy import correlation
+from isacdeploy import correlation, experiments
 from isacdeploy.cli import main
 from isacdeploy.config import deployment_to_dict
 from isacdeploy.geometry import Scenario, midpoint_baseline
@@ -326,11 +326,32 @@ class TestBadInputs:
             assert all(type(echoed[key]) is int for key in ga)
 
     def test_repeated_node_counts_exit_two_before_any_run(self, tmp_path, capsys):
+        # and repeated entries of the other sweep lists, which would write duplicate rows
+        cases = [
+            ("node-sweep", "node_counts", [2, 2], "node count"),
+            ("snr-sweep", "snr_values_db", [20, 20], "level"),
+            ("alpha-sweep", "alpha_values", [0.05, 0.05], "value"),
+        ]
+        for command, key, values, what in cases:
+            path = tmp_path / "config.json"
+            experiment = {**DESK_CONFIG["experiment"], key: values, "music": False}
+            path.write_text(json.dumps({**DESK_CONFIG, "experiment": experiment}))
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert f"experiment: {key} must list each {what} once" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_alpha_sweep_of_one_random_deployment_exits_two_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(experiments, "run_alpha_sweep", refuse)
         path = tmp_path / "config.json"
-        experiment = {**DESK_CONFIG["experiment"], "node_counts": [2, 2], "music": False}
+        experiment = {**DESK_CONFIG["experiment"], "random_deployment_count": 1}
         path.write_text(json.dumps({**DESK_CONFIG, "experiment": experiment}))
-        assert main(["node-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "experiment: node_counts must list each node count once" in capsys.readouterr().err
+        assert main(["alpha-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "experiment: random_deployment_count must be >= 2 for alpha-sweep" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_oversize_grid_exits_two(self, tmp_path, monkeypatch, capsys):

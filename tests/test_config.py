@@ -182,10 +182,32 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="trials_per_point must be an integer"):
             ExperimentSettings(kind="montecarlo", trials_per_point=True)
 
-    @pytest.mark.parametrize("counts", [[2, 2], [3, 2, 3.0]])
-    def test_repeated_node_counts_are_a_config_error(self, counts):
-        with pytest.raises(ConfigError, match="experiment: node_counts must list each node count once"):
-            parse_config({"experiment": {"kind": "node-sweep", "node_counts": counts}})
+    @pytest.mark.parametrize(
+        "key, values, what",
+        [
+            pytest.param("node_counts", [2, 2], "node count", id="counts0"),
+            pytest.param("node_counts", [3, 2, 3.0], "node count", id="counts1"),
+            pytest.param("snr_values_db", [20, 20], "level", id="snr0"),
+            pytest.param("snr_values_db", [-10.0, 0.0, -0.0], "level", id="snr1"),
+            pytest.param("alpha_values", [0.05, 0.05], "value", id="alpha0"),
+            pytest.param("alpha_values", [0.2, 0.01, 0.2], "value", id="alpha1"),
+        ],
+    )
+    def test_repeated_node_counts_are_a_config_error(self, key, values, what):
+        # every sweep list, not only node_counts: a repeated entry would write duplicate rows
+        with pytest.raises(ConfigError, match=f"experiment: {key} must list each {what} once"):
+            parse_config({"experiment": {"kind": "node-sweep", key: values}})
+
+    @pytest.mark.parametrize("count, ok", [(1, False), (2, True)])
+    def test_alpha_sweep_needs_two_random_deployments(self, count, ok):
+        document = {"experiment": {"kind": "alpha-sweep", "random_deployment_count": count}}
+        if ok:
+            assert parse_config(document).experiment.random_deployment_count == count
+        else:
+            with pytest.raises(ConfigError, match="experiment: random_deployment_count must be >= 2 for alpha-sweep"):
+                parse_config(document)
+        # the other experiments take a single random deployment
+        assert parse_config({"experiment": {"kind": "montecarlo", "random_deployment_count": 1}})
 
     def test_infinite_scenario_integer_is_a_config_error(self):
         with pytest.raises(ConfigError, match="scenario: node_count must be an integer"):

@@ -10,6 +10,7 @@ projection that the rank-one kernel replaced is kept below as the reference:
 import os
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from isacdeploy.geometry import (
     steering_vector,
 )
 from isacdeploy import music
-from isacdeploy.music import LocalizationStats, _localize_indices, _point_rmse, localize, rmse_map
+from isacdeploy.music import LocalizationStats, _localize_indices, _point_rmse, localize, rmse_map, rmse_maps
 from isacdeploy.signals import PowerLevels, SnapshotWorkspace, generate_snapshots, sample_covariance, snr_to_powers
 
 
@@ -284,11 +285,12 @@ class TestRmseMap:
     def test_a_stale_workspace_gives_the_fresh_value(self, baseline_book, small_scenario, powers):
         m, t = baseline_book.steering.shape[0], small_scenario.snapshot_count
         stale = SnapshotWorkspace(4, m, t)
-        for buffer in (stale.snapshots, stale.sources, stale.scratch):
+        for buffer in (stale.noise, stale.sources, stale.scratch):
             buffer.fill(np.nan)
+        books = [baseline_book, reversed_book(baseline_book)]
         for index in (0, 17, 30):
-            fresh = _point_rmse(baseline_book, index, powers, np.random.default_rng(index), SnapshotWorkspace(4, m, t))
-            assert _point_rmse(baseline_book, index, powers, np.random.default_rng(index), stale) == fresh
+            fresh = _point_rmse(books, index, powers, np.random.default_rng(index), SnapshotWorkspace(4, m, t))
+            assert np.array_equal(_point_rmse(books, index, powers, np.random.default_rng(index), stale), fresh)
 
     def test_pool_never_exceeds_the_core_count(self, small_scenario, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -326,8 +328,8 @@ class TestRmseMap:
             assert np.array_equal(stats.per_point_rmse, want)
 
     def test_one_1000_trial_point_peak_memory(self):
-        # the (trials, M, T) snapshot stack dominates a point's memory; the
-        # draws and the chunked a*s and conjugate reuse a scratch of a few trials
+        # the (trials, M, T) noise block dominates a point's memory; the draws,
+        # the chunks of y = a*s + n and their conjugates reuse a scratch of a few trials
         scenario = Scenario()
         book = build_codebook(midpoint_baseline(scenario), scenario)
         trials, (m, _), t = 1000, book.steering.shape, scenario.snapshot_count
@@ -336,7 +338,7 @@ class TestRmseMap:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _point_rmse(book, 100, snr_to_powers(0.0), np.random.default_rng(58), SnapshotWorkspace(trials, m, t))
+            _point_rmse([book], 100, snr_to_powers(0.0), np.random.default_rng(58), SnapshotWorkspace(trials, m, t))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -347,7 +349,50 @@ class TestRmseMap:
             rmse_map(midpoint_baseline(small_scenario), small_scenario, 0, np.random.default_rng(54))
 
     def test_stats_invariants(self):
+        assert LocalizationStats(per_point_rmse=np.array([1.0, 2.5, 0.5]), trials_per_point=3).max_rmse == 2.5
         with pytest.raises(ValueError):
-            LocalizationStats(per_point_rmse=np.array([1.0, 2.0]), max_rmse=1.5, trials_per_point=3)
-        with pytest.raises(ValueError):
-            LocalizationStats(per_point_rmse=np.array([-1.0, 2.0]), max_rmse=2.0, trials_per_point=3)
+            LocalizationStats(per_point_rmse=np.array([-1.0, 2.0]), trials_per_point=3)
+
+
+class TestRmseMaps:
+    """One Monte Carlo pass for a whole ensemble: each map is the one `rmse_map` gives alone."""
+
+    @pytest.fixture(scope="class")
+    def ensemble(self, small_scenario):
+        rng = np.random.default_rng(61)
+        return [midpoint_baseline(small_scenario)] + [random_deployment(small_scenario, rng) for _ in range(3)]
+
+    @pytest.fixture(scope="class")
+    def alone(self, small_scenario, ensemble):
+        return [rmse_map(dep, small_scenario, 4, np.random.default_rng(62)).per_point_rmse for dep in ensemble]
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "prefix"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_map_matches_its_own_rmse_map(self, small_scenario, ensemble, alone, monkeypatch, order, threads):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        picked = {"forward": [0, 1, 2, 3], "reversed": [3, 2, 1, 0], "prefix": [0, 1]}[order]
+        maps = rmse_maps([ensemble[k] for k in picked], small_scenario, 4, np.random.default_rng(62), threads=threads)
+        assert len(maps) == len(picked)
+        for k, stats in zip(picked, maps):
+            assert np.array_equal(stats.per_point_rmse, alone[k])
+            assert stats.max_rmse == np.max(alone[k]) and stats.trials_per_point == 4
+
+    def test_noiseless_ensemble_is_exactly_zero(self, small_scenario, ensemble):
+        maps = rmse_maps(ensemble, small_scenario, 2, np.random.default_rng(64), powers=PowerLevels(1.0, 0.0))
+        assert len(maps) == len(ensemble)
+        assert all(np.array_equal(stats.per_point_rmse, np.zeros(stats.per_point_rmse.size)) for stats in maps)
+
+    def test_an_empty_ensemble_gives_no_maps(self, small_scenario):
+        assert rmse_maps([], small_scenario, 3, np.random.default_rng(65)) == []
+
+    def test_different_element_counts_are_rejected(self, small_scenario):
+        two_nodes = random_deployment(replace(small_scenario, node_count=2), np.random.default_rng(66))
+        with pytest.raises(ValueError, match="same number of array elements"):
+            rmse_maps([midpoint_baseline(small_scenario), two_nodes], small_scenario, 2, np.random.default_rng(67))
+
+    def test_rejects_bad_trials_and_threads(self, small_scenario):
+        ensemble = [midpoint_baseline(small_scenario)]
+        with pytest.raises(ValueError, match="trials"):
+            rmse_maps(ensemble, small_scenario, 0, np.random.default_rng(68))
+        with pytest.raises(ValueError, match="threads"):
+            rmse_maps(ensemble, small_scenario, 2, np.random.default_rng(68), threads=0)

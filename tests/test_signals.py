@@ -19,6 +19,14 @@ from isacdeploy.signals import (
 )
 
 
+def stacked(work, a):
+    """The whole y = a*s + n stack of a drawn workspace, gathered from its chunks."""
+    y = np.empty_like(work.noise)
+    for rows, part in work.snapshots(a):
+        y[rows] = part
+    return y
+
+
 @pytest.fixture()
 def reference_steering():
     s = Scenario()
@@ -195,26 +203,44 @@ class TestSnapshots:
 
     @pytest.mark.parametrize("chunk_bytes", [1, 3 * 12 * 16 * 16, 1 << 30])
     def test_trial_chunks_give_the_whole_stack_bits(self, reference_steering, monkeypatch, chunk_bytes):
-        # one trial, three trials or the whole stack per chunk of a·s and of the conjugate
+        # one trial, three trials or the whole stack per chunk of y = a·s + n and of its conjugate,
+        # against n + a·s of one whole-stack draw
         powers = PowerLevels(2.0, 0.5)
-        want = generate_snapshots(reference_steering, powers, 16, np.random.default_rng(12), trials=7)
+        rng = np.random.default_rng(12)
+        sources = complex_normal(rng, (7, 16), 2.0)
+        want = complex_normal(rng, (7, reference_steering.size, 16), 0.5)
+        want += reference_steering[:, np.newaxis] * sources[:, np.newaxis, :]
         r = (want @ want.conj().swapaxes(-1, -2)) / 16
         want_covs = 0.5 * (r + r.conj().swapaxes(-1, -2))
         monkeypatch.setattr(signals, "CHUNK_BYTES", chunk_bytes)
         work = SnapshotWorkspace(7, reference_steering.size, 16)
-        assert len(work.scratch) == {1: 1, 3 * 12 * 16 * 16: 3, 1 << 30: 7}[chunk_bytes]
-        assert np.array_equal(work.draw(reference_steering, powers, np.random.default_rng(12)), want)
-        assert np.array_equal(work.covariances(), want_covs)
+        assert work.scratch.shape[:2] == (2, {1: 1, 3 * 12 * 16 * 16: 3, 1 << 30: 7}[chunk_bytes])
+        work.draw(powers, np.random.default_rng(12))
+        assert np.array_equal(stacked(work, reference_steering), want)
+        assert np.array_equal(work.covariances(reference_steering), want_covs)
         assert np.array_equal(sample_covariance(want), want_covs)
+        assert np.array_equal(generate_snapshots(reference_steering, powers, 16, np.random.default_rng(12), trials=7), want)
 
     def test_a_reused_workspace_keeps_nothing_from_the_last_draw(self, reference_steering):
         work = SnapshotWorkspace(3, reference_steering.size, 16)
         for powers in (snr_to_powers(0.0), PowerLevels(1.0, 0.0), PowerLevels(0.0, 1.0)):
-            for buffer in (work.snapshots, work.sources, work.scratch):
+            for buffer in (work.noise, work.sources, work.scratch):
                 buffer.fill(np.nan)
             want = generate_snapshots(reference_steering, powers, 16, np.random.default_rng(13), trials=3)
-            assert np.array_equal(work.draw(reference_steering, powers, np.random.default_rng(13)), want)
-            assert np.array_equal(work.covariances(), sample_covariance(want))
+            work.draw(powers, np.random.default_rng(13))
+            assert np.array_equal(stacked(work, reference_steering), want)
+            assert np.array_equal(work.covariances(reference_steering), sample_covariance(want))
+
+    def test_one_draw_serves_every_steering_vector(self, reference_steering):
+        # y = a*s + n from the same s and n, in any order of the vectors, as each vector's own draw
+        others = [reference_steering[::-1].copy(), np.roll(reference_steering, 5), reference_steering]
+        powers = snr_to_powers(-3.0)
+        work = SnapshotWorkspace(5, reference_steering.size, 16)
+        work.draw(powers, np.random.default_rng(14))
+        for a in others:
+            want = generate_snapshots(a, powers, 16, np.random.default_rng(14), trials=5)
+            assert np.array_equal(stacked(work, a), want)
+            assert np.array_equal(work.covariances(a), sample_covariance(want))
 
 class TestSampleCovariance:
     def test_single_snapshot_outer_product_exact(self, reference_steering):
