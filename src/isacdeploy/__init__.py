@@ -4,8 +4,19 @@ Places and orients antenna-array nodes so that a coverage region can be
 localized robustly: a distance-weighted steering-vector correlation scores
 how confusable grid points are, a real-coded genetic algorithm minimizes the
 worst-case score, and a MUSIC Monte Carlo simulator validates the resulting
-deployments against baselines and random placements.
+deployments against baselines and random placements. Importing the package
+first keeps numpy's BLAS on the calling thread unless the user chose otherwise.
 """
+
+import os
+
+# The Monte Carlo pool (`--threads`) is the process's one thread pool. BLAS
+# threads spin against it on the small 12x12 and 12x200 products: on a 2-core
+# box, 4 deployments x 241 points at 50 trials took 5.0 s at 2 pool threads
+# with OpenBLAS threads on (4.4-5.4 s at 1), and 2.1-2.2 s pinned.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
 
 from isacdeploy.config import (
     EXPERIMENT_KINDS,

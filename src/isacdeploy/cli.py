@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -34,8 +33,6 @@ from .config import (
 from .correlation import UndefinedCorrelationError
 from .experiments import InfeasibleDeploymentError, Table, run_experiment
 from .geometry import DegenerateGeometryError
-
-_ENV_THREADS = "ISAC_DEPLOY_THREADS"
 
 _COMMAND_HELP = {
     "optimize": "run the genetic optimizer and save the best deployment",
@@ -66,29 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--threads",
             type=int,
+            default=1,
             metavar="N",
-            help=(
-                f"Monte Carlo worker threads (default: ${_ENV_THREADS} or 1); "
-                "optimize runs no Monte Carlo and does not use it"
-            ),
+            help="Monte Carlo worker threads (default: 1); optimize runs no Monte Carlo and does not use it",
         )
         if kind == "evaluate":
             sub.add_argument("deployment", type=Path, help="deployment JSON file to evaluate")
     return parser
-
-
-def _resolve_threads(option: int | None) -> int:
-    if option is None:
-        raw = os.environ.get(_ENV_THREADS)
-        if raw is None:
-            return 1
-        try:
-            option = int(raw)
-        except ValueError:
-            raise ConfigError(f"{_ENV_THREADS} must be an integer, got {raw!r}") from None
-    if option < 1:
-        raise ConfigError(f"threads must be >= 1, got {option}")
-    return option
 
 
 def _format_cell(value) -> str:
@@ -123,7 +104,8 @@ def main(argv=None) -> int:
                 config = with_seed(config, args.seed)
             except ValueError as exc:
                 raise ConfigError(f"--seed: {exc}") from exc
-        threads = _resolve_threads(args.threads)
+        if args.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         deployment = load_deployment(args.deployment) if args.command == "evaluate" else None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -132,21 +114,24 @@ def main(argv=None) -> int:
     out_dir = args.out
     if out_dir is None:
         out_dir = Path("runs") / f"{args.command}-seed{config.experiment.seed}"
+    try:  # before the run, so an unusable --out cannot throw its results away
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     started = time.perf_counter()
     try:
-        bundle = run_experiment(config, deployment=deployment, threads=threads)
+        bundle = run_experiment(config, deployment=deployment, threads=args.threads)
     except (InfeasibleDeploymentError, DegenerateGeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UndefinedCorrelationError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "failure-report.json", {"error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall_time = time.perf_counter() - started
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config-echo.json", config_to_dict(config))
     for name, table in bundle.tables.items():
         _write_csv(out_dir / f"{name}.csv", table)

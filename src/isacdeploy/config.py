@@ -96,19 +96,32 @@ class ExperimentConfig:
     experiment: ExperimentSettings
 
 
+def _number(value, where: str):
+    """`value` if it is a JSON number (booleans are not); otherwise a ConfigError naming `where`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return value
+
+
 def _build_section(data, cls, path: str):
+    """Every field except `kind` and `music` takes a JSON number, or a list of
+    numbers where the default is a tuple; `element_spacing` also takes null."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
     valid = {f.name for f in fields(cls)}
     for key in data:
         if key not in valid:
             raise ConfigError(f"{path}.{key}: unknown key (valid keys: {', '.join(sorted(valid))})")
+    lists = {f.name for f in fields(cls) if isinstance(f.default, tuple)}
     kwargs = {}
     for key, value in data.items():
-        if isinstance(value, bool) and key != "music":
-            raise ConfigError(f"{path}.{key}: expected a number, got a boolean")
-        if isinstance(value, list):
-            value = tuple(value)
+        where = f"{path}.{key}"
+        if key in lists:
+            if not isinstance(value, list):
+                raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
+            value = tuple(_number(entry, f"{where}[{index}]") for index, entry in enumerate(value))
+        elif key not in ("kind", "music") and not (key == "element_spacing" and value is None):
+            _number(value, where)
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -196,12 +209,7 @@ def parse_deployment(document) -> Deployment:
     for index, pose in enumerate(poses):
         if not isinstance(pose, dict) or set(pose) != {"x", "y", "theta"}:
             raise ConfigError(f"poses[{index}]: each pose needs exactly the keys x, y, theta")
-        values = {}
-        for key in ("x", "y", "theta"):
-            value = pose[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"poses[{index}].{key}: expected a number, got {value!r}")
-            values[key] = float(value)
+        values = {key: float(_number(pose[key], f"poses[{index}].{key}")) for key in ("x", "y", "theta")}
         try:
             built.append(NodePose(**values))
         except ValueError as exc:

@@ -84,13 +84,12 @@ class GaParams:
 
 @dataclass(frozen=True, eq=False)
 class GaResult:
-    """Best chromosome found, its fitness, the per-generation best-fitness
-    trace (index 0 = initial population), the number of chromosomes scored
-    (P + G(P - N_e)) and how many of those repeated an earlier chromosome of
-    the run and took its cached fitness instead of a `fitness` call."""
+    """Best chromosome found, the per-generation best-fitness trace (index 0 =
+    initial population, last = `best_fitness`), the number of chromosomes
+    scored (P + G(P - N_e)) and how many of those repeated an earlier chromosome
+    of the run and took its cached fitness instead of a `fitness` call."""
 
     best: np.ndarray
-    best_fitness: float
     trace: np.ndarray
     evaluations: int
     cache_hits: int = 0
@@ -101,14 +100,16 @@ class GaResult:
             raise ValueError("trace must be a non-empty 1-D array")
         if not np.all(np.diff(trace) <= 0.0):
             raise ValueError("trace must be non-increasing (elitism guarantee)")
-        if self.best_fitness != float(trace[-1]):
-            raise ValueError("best_fitness must equal the last trace entry")
         if self.evaluations < 1:
             raise ValueError("evaluations must be >= 1")
         if not 0 <= self.cache_hits < self.evaluations:
             raise ValueError("cache_hits must be in [0, evaluations)")
         object.__setattr__(self, "best", np.asarray(self.best, dtype=float))
         object.__setattr__(self, "trace", trace)
+
+    @property
+    def best_fitness(self) -> float:
+        return float(self.trace[-1])
 
 
 def encode_deployment(deployment: Deployment) -> np.ndarray:
@@ -264,10 +265,7 @@ def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> Ga
     ]
     fitnesses = np.array([score(genes) for genes in population], dtype=float)
     evaluations = len(population)
-    best_index = int(np.argmin(fitnesses))
-    best_genes = population[best_index].copy()
-    best_fitness = float(fitnesses[best_index])
-    trace = [best_fitness]
+    trace = [float(np.min(fitnesses))]
 
     for _ in range(params.max_generations):
         offspring: list[np.ndarray] = []
@@ -294,14 +292,10 @@ def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> Ga
         evaluations += len(offspring)
         population = elites + offspring
         fitnesses = np.concatenate([elite_fitnesses, offspring_fitnesses])
-        best_index = int(np.argmin(fitnesses))
-        best_genes = population[best_index].copy()
-        best_fitness = float(fitnesses[best_index])
-        trace.append(best_fitness)
+        trace.append(float(np.min(fitnesses)))
 
     return GaResult(
-        best=best_genes,
-        best_fitness=best_fitness,
+        best=population[int(np.argmin(fitnesses))],
         trace=np.asarray(trace, dtype=float),
         evaluations=evaluations,
         cache_hits=evaluations - len(scores),

@@ -2,6 +2,8 @@
 
 import re
 
+import isacdeploy  # noqa: F401  (first, so numpy's BLAS stays on the calling thread as in the CLI)
+
 _CRITERION = re.compile(r"test_criterion_(\d{2})")
 _results = {}
 

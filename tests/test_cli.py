@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from isacdeploy import correlation, experiments
+from isacdeploy import cli, correlation, experiments
 from isacdeploy.cli import main
 from isacdeploy.config import deployment_to_dict
 from isacdeploy.geometry import Scenario, midpoint_baseline
@@ -21,9 +21,60 @@ DESK_CONFIG = {
 }
 
 
+NUMBER_FIELDS = {
+    "scenario": (
+        "carrier_frequency",
+        "antennas_per_node",
+        "node_count",
+        "region_radius",
+        "grid_resolution",
+        "snr_db",
+        "snapshot_count",
+        "alpha",
+        "element_spacing",
+    ),
+    "ga": (
+        "population_size",
+        "crossover_probability",
+        "mutation_probability",
+        "eta_crossover",
+        "eta_mutation",
+        "elite_count",
+        "tournament_size",
+        "max_generations",
+    ),
+    "experiment": ("seed", "random_deployment_count", "trials_per_point"),
+}
+LIST_FIELDS = {"scenario": ("region_center",), "experiment": ("alpha_values", "snr_values_db", "node_counts")}
+# (block, bad settings, the field the error must name): each number field
+# given a string, each list field a boolean and a string entry
+MALFORMED_VALUES = [
+    *(
+        pytest.param(block, {key: "5"}, f"{block}.{key}", id=f"{block}.{key}-string")
+        for block, keys in NUMBER_FIELDS.items()
+        for key in keys
+    ),
+    *(
+        pytest.param(block, {key: [1, entry]}, f"{block}.{key}[1]", id=f"{block}.{key}-{type(entry).__name__}")
+        for block, keys in LIST_FIELDS.items()
+        for key in keys
+        for entry in (True, "1")
+    ),
+]
+
+
 @pytest.fixture(autouse=True)
-def clean_thread_env(monkeypatch):
-    monkeypatch.delenv("ISAC_DEPLOY_THREADS", raising=False)
+def run_in_tmp_path(tmp_path, monkeypatch):
+    # a run that takes the default --out must not write into the checkout
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.fixture
+def refuse_runs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the experiment must not start")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
 
 
 @pytest.fixture
@@ -215,21 +266,17 @@ class TestEvaluateCommand:
         assert read_summary(evaluate_out)["max_rho"] == best_fitness
         assert read_summary(evaluate_out)["checks"] == {}
 
-    def test_thread_count_does_not_change_the_results(self, tmp_path, config_path, monkeypatch):
+    def test_thread_count_does_not_change_the_results(self, tmp_path, config_path):
         deployment = tmp_path / "deployment.json"
         deployment.write_text(json.dumps(deployment_to_dict(midpoint_baseline(Scenario(region_radius=4.0)))))
         serial = tmp_path / "serial"
         flagged = tmp_path / "flagged"
-        via_env = tmp_path / "via-env"
         evaluate = ["evaluate", "--config", str(config_path), str(deployment), "--out"]
         assert main(evaluate + [str(serial)]) == 0
         assert main(evaluate + [str(flagged), "--threads", "2"]) == 0
-        monkeypatch.setenv("ISAC_DEPLOY_THREADS", "3")
-        assert main(evaluate + [str(via_env)]) == 0
         reference = (serial / "evaluation.csv").read_bytes()
         assert "nan" not in reference.decode()
         assert (flagged / "evaluation.csv").read_bytes() == reference
-        assert (via_env / "evaluation.csv").read_bytes() == reference
 
     def test_infeasible_deployment_exits_two(self, tmp_path, config_path, capsys):
         path = tmp_path / "deployment.json"
@@ -271,12 +318,33 @@ class TestBadInputs:
         assert main(["optimize", "--config", str(config_path), "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
 
-    def test_bad_thread_values_exit_two(self, config_path, monkeypatch, capsys):
-        assert main(["optimize", "--config", str(config_path), "--threads", "0"]) == 2
-        assert "threads" in capsys.readouterr().err
-        monkeypatch.setenv("ISAC_DEPLOY_THREADS", "many")
-        assert main(["optimize", "--config", str(config_path)]) == 2
-        assert "ISAC_DEPLOY_THREADS" in capsys.readouterr().err
+    def test_bad_thread_values_exit_two(self, config_path, capsys):
+        for value in ("0", "-1"):
+            assert main(["optimize", "--config", str(config_path), "--threads", value]) == 2
+            assert f"threads must be >= 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["existing file", "path under a file"])
+    def test_unusable_out_exits_two_before_the_run(self, tmp_path, config_path, refuse_runs, kind, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep me\n")
+        out = blocker if kind == "existing file" else blocker / "run"
+        assert main(["optimize", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --out {out}: " in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("block, value, located", MALFORMED_VALUES)
+    def test_malformed_config_values_exit_two_with_the_field(
+        self, tmp_path, refuse_runs, block, value, located, capsys
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**DESK_CONFIG, block: {**DESK_CONFIG[block], **value}}))
+        assert main(["node-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {located}: expected a number, got " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_non_utf8_config_exits_two_with_byte_offset(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -113,10 +113,22 @@ class TestParseConfig:
             parse_config({"experiment": {"kind": "anneal"}})
 
     def test_booleans_are_not_numbers(self):
-        with pytest.raises(ConfigError, match=r"scenario\.snr_db: expected a number, got a boolean"):
+        with pytest.raises(ConfigError, match=r"scenario\.snr_db: expected a number, got True"):
             parse_config({"scenario": {"snr_db": True}}, expected_kind="optimize")
         with pytest.raises(ConfigError, match=r"experiment\.seed"):
             parse_config({"experiment": {"kind": "optimize", "seed": False}})
+
+    def test_list_fields_take_lists_and_scalar_fields_take_numbers(self):
+        with pytest.raises(ConfigError, match=r"experiment\.alpha_values: expected a list of numbers, got 0\.05"):
+            parse_config({"experiment": {"kind": "alpha-sweep", "alpha_values": 0.05}})
+        with pytest.raises(ConfigError, match=r"scenario\.region_center: expected a list of numbers"):
+            parse_config({"scenario": {"region_center": "00"}}, expected_kind="optimize")
+        with pytest.raises(ConfigError, match=r"scenario\.snr_db: expected a number, got \[5\]"):
+            parse_config({"scenario": {"snr_db": [5]}}, expected_kind="optimize")
+
+    def test_element_spacing_takes_null(self):
+        config = parse_config({"scenario": {"element_spacing": None}}, expected_kind="optimize")
+        assert config.scenario.element_spacing == 0.5 * wavelength_of(2.4e9)
 
     def test_music_accepts_booleans_only(self):
         config = parse_config({"experiment": {"kind": "montecarlo", "music": False}})
@@ -150,7 +162,10 @@ class TestParseConfig:
     )
     @pytest.mark.parametrize("bad", [2.5, math.inf, math.nan, "4"])
     def test_ga_integer_fields_must_be_integral(self, field, bad):
-        with pytest.raises(ConfigError, match=rf"ga: {field} must be an integer >= \d, got"):
+        expected = rf"ga: {field} must be an integer >= \d, got"
+        if bad == "4":
+            expected = rf"ga\.{field}: expected a number, got '4'"
+        with pytest.raises(ConfigError, match=expected):
             parse_config({"ga": {field: bad}}, expected_kind="optimize")
 
     def test_integral_floats_become_integers(self):
@@ -173,7 +188,10 @@ class TestParseConfig:
     def test_experiment_counts_must_be_integral(self, key, bad):
         document = {"kind": "node-sweep", key: [3, bad] if key == "node_counts" else bad}
         name = "node_counts[1]" if key == "node_counts" else key
-        with pytest.raises(ConfigError, match=rf"experiment: {re.escape(name)} must be an integer >= 1, got"):
+        expected = rf"experiment: {re.escape(name)} must be an integer >= 1, got"
+        if bad == "2":
+            expected = rf"experiment\.{re.escape(name)}: expected a number, got '2'"
+        with pytest.raises(ConfigError, match=expected):
             parse_config({"experiment": document})
 
     def test_experiment_counts_reject_booleans_from_the_api(self):

@@ -412,12 +412,11 @@ class TestRunGa:
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):
-            GaResult(best=np.zeros(9), best_fitness=1.0, trace=np.array([1.0, 2.0]), evaluations=10)
-        with pytest.raises(ValueError):
-            GaResult(best=np.zeros(9), best_fitness=0.5, trace=np.array([2.0, 1.0]), evaluations=10)
+            GaResult(best=np.zeros(9), trace=np.array([1.0, 2.0]), evaluations=10)
+        assert GaResult(best=np.zeros(9), trace=np.array([2.0, 1.0]), evaluations=10).best_fitness == 1.0
         for hits in (-1, 10):
             with pytest.raises(ValueError, match="cache_hits"):
-                GaResult(best=np.zeros(9), best_fitness=1.0, trace=np.array([1.0]), evaluations=10, cache_hits=hits)
+                GaResult(best=np.zeros(9), trace=np.array([1.0]), evaluations=10, cache_hits=hits)
 
 
 class TestFitnessCache:
