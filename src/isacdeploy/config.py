@@ -153,6 +153,11 @@ def parse_config(document, expected_kind: str | None = None) -> ExperimentConfig
         raise ConfigError(f"experiment.kind: config says {kind!r} but the command is {expected_kind!r}")
     experiment_data["kind"] = kind
     experiment = _build_section(experiment_data, ExperimentSettings, "experiment")
+    for index, alpha in enumerate(experiment.alpha_values):
+        try:
+            replace(scenario, alpha=alpha)  # the scenario each alpha-sweep level runs
+        except ValueError as exc:
+            raise ConfigError(f"experiment.alpha_values[{index}]: {exc}") from None
     return ExperimentConfig(scenario=scenario, ga=ga, experiment=experiment)
 
 

@@ -171,6 +171,10 @@ def pearson(xs, ys) -> float:
         raise ValueError(f"expected two sequences of equal length, got shapes {xs.shape} and {ys.shape}")
     if xs.size < 2:
         raise ValueError(f"need at least two samples, got {xs.size}")
+    # scaling each sequence by a power of two is exact and changes no rounding,
+    # but keeps the sums of squares finite for values near the largest float
+    xs = np.ldexp(xs, -np.frexp(np.max(np.abs(xs)))[1])
+    ys = np.ldexp(ys, -np.frexp(np.max(np.abs(ys)))[1])
     dx = xs - xs.mean()
     dy = ys - ys.mean()
     sx = float(dx @ dx)

@@ -64,11 +64,11 @@ class GaParams:
     max_generations: int = 500
 
     def __post_init__(self):
-        minimums = {"population_size": 2, "elite_count": 0, "tournament_size": 1, "max_generations": 0}
+        minimums = {"population_size": 2, "elite_count": 1, "tournament_size": 1, "max_generations": 0}
         for name, minimum in minimums.items():
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), minimum))
         if self.elite_count >= self.population_size:
-            raise ValueError("elite_count must be in [0, population_size)")
+            raise ValueError("elite_count must be in [1, population_size)")
         offspring = self.population_size - self.elite_count
         if offspring < 2 or offspring % 2:
             raise ValueError("population_size - elite_count must be even and >= 2 (offspring pairs)")

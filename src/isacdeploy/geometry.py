@@ -10,6 +10,7 @@ positions rather than just directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ upper triangle of one float64 weight matrix per grid, packed in 64-row slabs,
 about n(n + 64)/2 * 8 bytes: 57.5 MB at a 0.25 m reference grid (n = 3,761),
 about 400 MB at this limit and 2.2 GB at 0.1 m (n = 23,565). Larger grids are
 rejected when the scenario is built, before any O(n^2) array exists."""
+
+
+_LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
 class DegenerateGeometryError(ValueError):
@@ -106,12 +110,19 @@ class Scenario:
         if _grid_point_count(self.region_radius, self.grid_resolution) > MAX_GRID_POINTS:
             raise ValueError(
                 f"grid_resolution {self.grid_resolution!r} gives more than MAX_GRID_POINTS = "
-                f"{MAX_GRID_POINTS} grid points for region_radius {float(self.region_radius):.6g} "
+                f"{MAX_GRID_POINTS} grid points for region_radius {self.region_radius:.6g} "
                 "(the pair weights take about n^2 / 2 * 8 bytes)"
             )
         snr_to_powers(self.snr_db)  # finite and at most signals.MAX_SNR_DB
         if not np.isfinite(self.alpha) or self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
+        # no pair weight exceeds (2 * region_radius)^alpha; compared in logarithms, which stay finite
+        log_span = math.log(2.0) + math.log(self.region_radius)
+        if float(self.alpha) * log_span > _LOG_MAX_FLOAT:
+            raise ValueError(
+                f"alpha must be at most {_LOG_MAX_FLOAT / log_span:.6g} for region_radius {self.region_radius:.6g} "
+                f"(above it the pair weight (2 * region_radius)^alpha overflows), got {self.alpha!r}"
+            )
         center = tuple(float(c) for c in self.region_center)
         if len(center) != 2 or not all(np.isfinite(c) for c in center):
             raise ValueError(f"region_center must be a finite 2-D point, got {self.region_center!r}")

@@ -6,20 +6,16 @@ i.i.d. circularly-symmetric complex Gaussian noise of per-element variance
 sigma^2. A Gaussian source makes the population covariance exactly
 E * a a^H + sigma^2 * I.
 
-A `SnapshotWorkspace` holds the source block s and noise block n of one
-(trials, M, T) stack. `draw` fills them, the normal draws passing through a
-scratch in pieces; `covariances(a)` builds y = a*s + n for a steering vector
-a one chunk of trials at a time and reduces each chunk as it is built, so a
-reused workspace allocates only the (trials, M, M) covariances.
-`music.rmse_maps` keeps one per worker thread and reduces each draw for every
-deployment; `generate_snapshots` and `sample_covariance` run the same code on
-fresh buffers. Draws, their order and every bit of the results are those of
-one whole-stack computation.
+`generate_snapshots` and `sample_covariance` are the plain whole-stack
+formulas. `SnapshotWorkspace` is the Monte Carlo path (`music.rmse_maps` keeps
+one per worker thread): it draws a stack's source and noise blocks once and
+reduces y = a*s + n for each steering vector a chunk of trials at a time, so a
+reused workspace allocates only the covariances, and its bits are those of the
+plain formulas.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +60,7 @@ def snr_to_powers(snr_db: float) -> PowerLevels:
 
 
 CHUNK_BYTES = 1 << 18
-"""Target size of the scratch buffer that the trial-chunked steps reuse. It
+"""Target size of each of a `SnapshotWorkspace`'s two scratch chunks. It
 changes no result; scratches from one trial to a whole 50-trial stack timed
 alike on a 2-core Xeon, and a small one keeps a thread's memory near one stack."""
 
@@ -102,46 +98,22 @@ def complex_normal(rng: np.random.Generator, shape, variance: float, out=None, s
     return out
 
 
-def _scratch(trials: int, m: int, t: int, *lead: int) -> np.ndarray:
-    """Complex (*lead, k, m, t) scratch: k whole trials of about `CHUNK_BYTES`, at least one."""
-    per_trial = max(1, m * t) * np.dtype(complex).itemsize
-    return np.empty(lead + (max(1, min(trials, CHUNK_BYTES // per_trial)), m, t), dtype=complex)
-
-
-def _chunks(trials: int, size: int):
-    """Slices that walk `trials` rows `size` at a time."""
-    return (slice(k0, min(k0 + size, trials)) for k0 in range(0, trials, size))
-
-
-def _stack_covariance(chunks, shape, scratch: np.ndarray) -> np.ndarray:
-    """`sample_covariance` of a (K, M, T) stack given as (rows, y[rows]) chunks, conjugating each into `scratch`.
-
-    numpy's stacked matmul runs one product per trial, so the chunks give the
-    bits of one whole-stack `y @ y^H`.
-    """
-    r = np.empty(shape[:-1] + shape[-2:-1], dtype=complex)
-    for rows, y in chunks:
-        part = scratch[: len(y)]
-        np.conjugate(y, out=part)
-        np.matmul(y, part.swapaxes(-1, -2), out=r[rows])
-    r /= shape[-1]
-    return 0.5 * (r + r.conj().swapaxes(-1, -2))
-
-
 class SnapshotWorkspace:
     """Buffers for one (trials, M, T) snapshot stack and its covariances, reused draw after draw.
 
     `sources` holds the (trials, T) source block s and `noise` the noise block
-    n. `scratch` holds two chunks of a few trials: the raw normal draws pass
-    through its float view, and the snapshots y = a*s + n of one chunk and
-    their conjugates for y y^H are built in it. Every step writes a buffer
-    before reading it, so nothing carries over from one draw to the next.
+    n. `scratch` holds two chunks of k whole trials, about `CHUNK_BYTES` each
+    and at least one trial: the raw normal draws pass through its float view,
+    and `covariances` builds each chunk of y = a*s + n and its conjugate in
+    it. Every step writes a buffer before reading it, so nothing carries over
+    from one draw to the next.
     """
 
     def __init__(self, trials: int, m: int, t: int):
         self.noise = np.empty((trials, m, t), dtype=complex)
         self.sources = np.empty((trials, t), dtype=complex)
-        self.scratch = _scratch(trials, m, t, 2)
+        per_trial = max(1, m * t) * np.dtype(complex).itemsize
+        self.scratch = np.empty((2, max(1, min(trials, CHUNK_BYTES // per_trial)), m, t), dtype=complex)
 
     def draw(self, powers: PowerLevels, rng: np.random.Generator) -> None:
         """Fill `sources` and `noise`. Stream order: all source samples s
@@ -150,18 +122,24 @@ class SnapshotWorkspace:
         complex_normal(rng, self.sources.shape, powers.signal_power, out=self.sources, scratch=draws)
         complex_normal(rng, self.noise.shape, powers.noise_power, out=self.noise, scratch=draws)
 
-    def snapshots(self, a: np.ndarray):
-        """(rows, y[rows]) chunks of the stack y = a*s + n of the steering
-        vector `a`, each built in the scratch and overwritten by the next."""
-        for rows in _chunks(len(self.noise), len(self.scratch[0])):
-            part = self.scratch[0, : rows.stop - rows.start]
+    def covariances(self, a: np.ndarray) -> np.ndarray:
+        """`sample_covariance` of the snapshots y = a*s + n of the steering vector `a`, shape (trials, M, M).
+
+        numpy's stacked matmul runs one product per trial, so the chunks give
+        the bits of one whole-stack computation.
+        """
+        trials, m, t = self.noise.shape
+        step = self.scratch.shape[1]
+        r = np.empty((trials, m, m), dtype=complex)
+        for k0 in range(0, trials, step):
+            rows = slice(k0, min(k0 + step, trials))
+            part, conj = self.scratch[:, : rows.stop - k0]
             np.multiply(a[:, np.newaxis], self.sources[rows, np.newaxis, :], out=part)
             part += self.noise[rows]
-            yield rows, part
-
-    def covariances(self, a: np.ndarray) -> np.ndarray:
-        """`sample_covariance` of the snapshots of `a`, shape (trials, M, M)."""
-        return _stack_covariance(self.snapshots(a), self.noise.shape, self.scratch[1])
+            np.conjugate(part, out=conj)
+            np.matmul(part, conj.swapaxes(-1, -2), out=r[rows])
+        r /= t
+        return 0.5 * (r + r.conj().swapaxes(-1, -2))
 
 
 def generate_snapshots(
@@ -171,8 +149,7 @@ def generate_snapshots(
 
     With `trials`, a stack of `trials` independent matrices. Stream order: all
     source samples s (variance E), then all noise samples (variance sigma^2),
-    so trials=1 draws what the unbatched call draws. Each call draws into a
-    fresh `SnapshotWorkspace` and writes each chunk of y over its noise rows.
+    so trials=1 draws what the unbatched call draws.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1 or a.size < 1:
@@ -181,11 +158,11 @@ def generate_snapshots(
         raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots!r}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    work = SnapshotWorkspace(1 if trials is None else trials, a.size, n_snapshots)
-    work.draw(powers, rng)
-    for rows, part in work.snapshots(a):
-        work.noise[rows] = part
-    return work.noise[0] if trials is None else work.noise
+    lead = () if trials is None else (trials,)
+    sources = complex_normal(rng, lead + (n_snapshots,), powers.signal_power)
+    y = complex_normal(rng, lead + (a.size, n_snapshots), powers.noise_power)
+    y += a[:, np.newaxis] * sources[..., np.newaxis, :]
+    return y
 
 
 def sample_covariance(batch) -> np.ndarray:
@@ -194,7 +171,6 @@ def sample_covariance(batch) -> np.ndarray:
     y = np.asarray(batch, dtype=complex)
     if y.ndim < 2 or y.shape[-1] < 1:
         raise ValueError(f"batch must be a (..., M, T) array with T >= 1, got shape {y.shape}")
-    stack = y.reshape((math.prod(y.shape[:-2]),) + y.shape[-2:])
-    scratch = _scratch(len(stack), *y.shape[-2:])
-    r = _stack_covariance(((rows, stack[rows]) for rows in _chunks(len(stack), len(scratch))), stack.shape, scratch)
-    return r.reshape(y.shape[:-1] + y.shape[-2:-1])
+    r = y @ y.conj().swapaxes(-1, -2)
+    r /= y.shape[-1]
+    return 0.5 * (r + r.conj().swapaxes(-1, -2))

@@ -191,7 +191,7 @@ class TestMontecarloCommand:
     def test_failed_checks_exit_one_with_a_report(self, tmp_path, capsys):
         config = {
             "scenario": {"region_radius": 4.0, "snapshot_count": 32},
-            "ga": {"population_size": 2, "elite_count": 0, "max_generations": 0},
+            "ga": {"population_size": 3, "elite_count": 1, "max_generations": 0},
             "experiment": {"seed": 1, "random_deployment_count": 6, "music": False},
         }
         path = tmp_path / "config.json"
@@ -431,6 +431,53 @@ class TestBadInputs:
         path.write_text(json.dumps({"scenario": {"grid_resolution": 0.1}}))
         assert main(["evaluate", "--config", str(path), str(tmp_path / "unread.json")]) == 2
         assert "scenario: grid_resolution 0.1" in capsys.readouterr().err
+
+    def test_a_ga_without_elites_exits_two_before_any_run(self, tmp_path, refuse_runs, capsys):
+        # elitism is what keeps the best fitness from rising between generations
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**DESK_CONFIG, "ga": {**DESK_CONFIG["ga"], "elite_count": 0}}))
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "ga: elite_count must be an integer >= 1, got 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "evaluate"])
+    def test_an_alpha_that_overflows_the_pair_weights_exits_two(self, tmp_path, refuse_runs, command, capsys):
+        # at radius 4 m the weight 8^alpha overflows above alpha = 341.3
+        deployment = tmp_path / "deployment.json"
+        deployment.write_text(json.dumps(deployment_to_dict(midpoint_baseline(Scenario(region_radius=4.0)))))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**DESK_CONFIG, "scenario": {**DESK_CONFIG["scenario"], "alpha": 400}}))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv + ([str(deployment)] if command == "evaluate" else [])) == 2
+        err = capsys.readouterr().err
+        assert "scenario: alpha must be at most 341.333 for region_radius 4" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_an_overflowing_sweep_alpha_exits_two(self, tmp_path, refuse_runs, capsys):
+        path = tmp_path / "config.json"
+        experiment = {**DESK_CONFIG["experiment"], "alpha_values": [0.05, 400]}
+        path.write_text(json.dumps({**DESK_CONFIG, "experiment": experiment}))
+        assert main(["alpha-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "experiment.alpha_values[1]: alpha must be at most 341.333" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_an_alpha_just_below_the_overflow_runs(self, tmp_path):
+        path = tmp_path / "config.json"
+        experiment = {**DESK_CONFIG["experiment"], "alpha_values": [0.05, 340]}
+        scenario = {**DESK_CONFIG["scenario"], "alpha": 340}
+        path.write_text(json.dumps({**DESK_CONFIG, "scenario": scenario, "experiment": experiment}))
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "optimize")]) == 0
+        assert 1e300 < read_summary(tmp_path / "optimize")["best_fitness"] < float("inf")
+        # exit 1 is the failed gamma_positive_for_all_alpha check at this seed; the sums of
+        # squares of max_rho values near 1e307 must not overflow into a gamma of -0
+        assert main(["alpha-sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 1
+        gammas = [float(row.split(",")[1]) for row in (tmp_path / "sweep" / "gamma.csv").read_text().splitlines()[1:]]
+        assert len(gammas) == 2 and all(gamma != 0.0 and -1.0 <= gamma <= 1.0 for gamma in gammas)
 
     def test_overflowing_sweep_snr_exits_two(self, tmp_path, capsys):
         for snr_db in (4000.0, 3070.0):

@@ -387,6 +387,19 @@ class TestPearson:
             xs, ys = rng.standard_normal(20), rng.standard_normal(20)
             assert -1.0 <= pearson(xs, ys) <= 1.0
 
+    def test_power_of_two_scales_change_no_bit(self):
+        # values near the largest float (a max_rho at a large alpha) give the unit-scale
+        # coefficient of the plain formula instead of overflowing its sums of squares
+        rng = np.random.default_rng(17)
+        for _ in range(25):
+            xs, ys = rng.uniform(0.5, 2.0, 40), rng.standard_normal(40)
+            dx, dy = xs - xs.mean(), ys - ys.mean()
+            want = float(np.clip((dx @ dy) / np.sqrt((dx @ dx) * (dy @ dy)), -1.0, 1.0))
+            assert pearson(xs, ys) == want
+            for k in (-900, 1000, 1020):
+                assert pearson(np.ldexp(xs, k), ys) == want
+                assert pearson(xs, np.ldexp(ys, k)) == want
+
     def test_constant_input_rejected(self):
         with pytest.raises(UndefinedCorrelationError):
             pearson((1.0, 1.0, 1.0), (1.0, 2.0, 3.0))

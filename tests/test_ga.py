@@ -344,6 +344,8 @@ class TestGaParams:
             GaParams(population_size=4, elite_count=4)
         with pytest.raises(ValueError):
             GaParams(population_size=9, elite_count=4)  # odd offspring count
+        with pytest.raises(ValueError, match="elite_count must be an integer >= 1, got 0"):
+            GaParams(population_size=4, elite_count=0)  # no elitism: the best fitness could rise
         with pytest.raises(ValueError):
             GaParams(crossover_probability=1.5)
         with pytest.raises(ValueError):

@@ -179,6 +179,16 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(**kwargs)
 
+    def test_alpha_stops_where_the_largest_pair_weight_overflows(self):
+        # (2 * radius)^alpha: 8^alpha at 4 m overflows above 341.33, 17.32^alpha at the reference radius above 248.88
+        for radius, ok, too_large in ((4.0, 340.0, 342.0), (Scenario().region_radius, 248.0, 249.0)):
+            scenario = Scenario(region_radius=radius, alpha=ok)
+            assert np.isfinite((2.0 * radius) ** scenario.alpha)
+            with pytest.raises(ValueError, match="alpha must be at most"):
+                Scenario(region_radius=radius, alpha=too_large)
+        # below a 0.5 m radius no distance exceeds 1, so no alpha overflows
+        assert Scenario(region_radius=0.4, alpha=1e300).alpha == 1e300
+
 
 class TestPoseAndDeployment:
     def test_pose_coerces_to_float(self):

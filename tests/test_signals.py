@@ -19,14 +19,6 @@ from isacdeploy.signals import (
 )
 
 
-def stacked(work, a):
-    """The whole y = a*s + n stack of a drawn workspace, gathered from its chunks."""
-    y = np.empty_like(work.noise)
-    for rows, part in work.snapshots(a):
-        y[rows] = part
-    return y
-
-
 @pytest.fixture()
 def reference_steering():
     s = Scenario()
@@ -204,7 +196,7 @@ class TestSnapshots:
     @pytest.mark.parametrize("chunk_bytes", [1, 3 * 12 * 16 * 16, 1 << 30])
     def test_trial_chunks_give_the_whole_stack_bits(self, reference_steering, monkeypatch, chunk_bytes):
         # one trial, three trials or the whole stack per chunk of y = a·s + n and of its conjugate,
-        # against n + a·s of one whole-stack draw
+        # against the covariances of n + a·s of one whole-stack draw
         powers = PowerLevels(2.0, 0.5)
         rng = np.random.default_rng(12)
         sources = complex_normal(rng, (7, 16), 2.0)
@@ -216,7 +208,6 @@ class TestSnapshots:
         work = SnapshotWorkspace(7, reference_steering.size, 16)
         assert work.scratch.shape[:2] == (2, {1: 1, 3 * 12 * 16 * 16: 3, 1 << 30: 7}[chunk_bytes])
         work.draw(powers, np.random.default_rng(12))
-        assert np.array_equal(stacked(work, reference_steering), want)
         assert np.array_equal(work.covariances(reference_steering), want_covs)
         assert np.array_equal(sample_covariance(want), want_covs)
         assert np.array_equal(generate_snapshots(reference_steering, powers, 16, np.random.default_rng(12), trials=7), want)
@@ -228,7 +219,6 @@ class TestSnapshots:
                 buffer.fill(np.nan)
             want = generate_snapshots(reference_steering, powers, 16, np.random.default_rng(13), trials=3)
             work.draw(powers, np.random.default_rng(13))
-            assert np.array_equal(stacked(work, reference_steering), want)
             assert np.array_equal(work.covariances(reference_steering), sample_covariance(want))
 
     def test_one_draw_serves_every_steering_vector(self, reference_steering):
@@ -239,7 +229,6 @@ class TestSnapshots:
         work.draw(powers, np.random.default_rng(14))
         for a in others:
             want = generate_snapshots(a, powers, 16, np.random.default_rng(14), trials=5)
-            assert np.array_equal(stacked(work, a), want)
             assert np.array_equal(work.covariances(a), sample_covariance(want))
 
 class TestSampleCovariance:
@@ -291,6 +280,15 @@ class TestSampleCovariance:
             y = generate_snapshots(a, PowerLevels(1.0, 1.0), t, np.random.default_rng(23))
             errs.append(np.linalg.norm(sample_covariance(y) - population))
         assert errs == sorted(errs, reverse=True)
+
+    def test_any_leading_shape_gives_each_matrix_its_own_covariance(self):
+        rng = np.random.default_rng(19)
+        y = rng.standard_normal((2, 3, 6, 40)) + 1j * rng.standard_normal((2, 3, 6, 40))
+        r = sample_covariance(y)
+        assert r.shape == (2, 3, 6, 6)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(r[i, j], sample_covariance(y[i, j]))
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
