@@ -31,11 +31,12 @@ print(f"region radius: {scenario.region_radius:.4f} m")
 grid = coverage_grid(scenario.region_center, scenario.region_radius, scenario.grid_resolution)
 print(f"grid points: {len(grid)}")
 
-# A simple deterministic deployment: each node halfway between the region
-# center and the boundary, arrays facing the center.
+# A simple deterministic deployment: the nodes sit on the region circle at
+# bearings 90, 210 and 330 degrees, each array along the local tangent. A
+# deployment is one (J, 3) array of [x, y, theta] rows.
 deployment = midpoint_baseline(scenario)
-for index, pose in enumerate(deployment.poses):
-    print(f"node {index}: x={pose.x:+.3f} y={pose.y:+.3f} theta={pose.theta:.3f} rad")
+for index, (x, y, theta) in enumerate(deployment.poses):
+    print(f"node {index}: x={x:+.3f} y={y:+.3f} theta={theta:.3f} rad")
 
 # The layout stacks every node's antenna elements into one (N*J, 2) array.
 layout = deployment_layout(deployment, scenario)

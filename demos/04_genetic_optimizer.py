@@ -35,8 +35,8 @@ for generation in range(0, params.max_generations + 1, 10):
 
 best = decode_chromosome(result.best)
 print("optimized deployment:")
-for index, pose in enumerate(best.poses):
-    print(f"  node {index}: x={pose.x:+.3f} y={pose.y:+.3f} theta={pose.theta:.3f} rad")
+for index, (x, y, theta) in enumerate(best.poses):
+    print(f"  node {index}: x={x:+.3f} y={y:+.3f} theta={theta:.3f} rad")
 
 # Compare against the midpoint baseline and a few random deployments.
 baseline = max_weighted_correlation(build_codebook(midpoint_baseline(scenario), scenario))

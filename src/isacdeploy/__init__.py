@@ -74,10 +74,8 @@ from isacdeploy.geometry import (
     SPEED_OF_LIGHT,
     DegenerateGeometryError,
     Deployment,
-    NodePose,
     Scenario,
     UnsupportedConfigurationError,
-    antenna_positions,
     coverage_grid,
     deployment_layout,
     deployment_violations,
@@ -119,14 +117,12 @@ __all__ = [
     "GridCodebook",
     "InfeasibleDeploymentError",
     "LocalizationStats",
-    "NodePose",
     "PowerLevels",
     "ResultBundle",
     "Scenario",
     "Table",
     "UndefinedCorrelationError",
     "UnsupportedConfigurationError",
-    "antenna_positions",
     "build_codebook",
     "complex_normal",
     "config_to_dict",

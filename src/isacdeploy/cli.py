@@ -116,6 +116,7 @@ def main(argv=None) -> int:
         out_dir = Path("runs") / f"{args.command}-seed{config.experiment.seed}"
     try:  # before the run, so an unusable --out cannot throw its results away
         out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "failure-report.json").unlink(missing_ok=True)  # an earlier run's would contradict this one
     except OSError as exc:
         print(f"error: --out {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 2

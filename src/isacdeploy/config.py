@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ga import GaParams
-from .geometry import Deployment, NodePose, Scenario, integer_at_least
+from .geometry import Deployment, Scenario, integer_at_least
 from .signals import snr_to_powers
 
 EXPERIMENT_KINDS = ("optimize", "montecarlo", "alpha-sweep", "snr-sweep", "node-sweep", "evaluate")
@@ -200,7 +200,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def deployment_to_dict(deployment: Deployment) -> dict:
     """Deployment as the on-disk JSON shape {"poses": [{x, y, theta}, ...]}."""
-    return {"poses": [{"x": p.x, "y": p.y, "theta": p.theta} for p in deployment.poses]}
+    return {"poses": [{"x": x, "y": y, "theta": theta} for x, y, theta in deployment.poses.tolist()]}
 
 
 def parse_deployment(document) -> Deployment:
@@ -210,16 +210,15 @@ def parse_deployment(document) -> Deployment:
     poses = document["poses"]
     if not isinstance(poses, list) or not poses:
         raise ConfigError("poses must be a non-empty list")
-    built = []
+    rows = []
     for index, pose in enumerate(poses):
         if not isinstance(pose, dict) or set(pose) != {"x", "y", "theta"}:
             raise ConfigError(f"poses[{index}]: each pose needs exactly the keys x, y, theta")
-        values = {key: float(_number(pose[key], f"poses[{index}].{key}")) for key in ("x", "y", "theta")}
-        try:
-            built.append(NodePose(**values))
-        except ValueError as exc:
-            raise ConfigError(f"poses[{index}]: {exc}") from exc
-    return Deployment(tuple(built))
+        row = [float(_number(pose[key], f"poses[{index}].{key}")) for key in ("x", "y", "theta")]
+        if not np.all(np.isfinite(row)):
+            raise ConfigError(f"poses[{index}]: x, y and theta must be finite, got {row}")
+        rows.append(row)
+    return Deployment(rows)
 
 
 def load_deployment(path) -> Deployment:

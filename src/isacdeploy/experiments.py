@@ -304,18 +304,19 @@ def run_node_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
                 stats["ensemble_best_max_rho"] = spread["best"]
             stats[f"ensemble_mean_{metric}"] = spread["mean"]
         per_count.append(stats)
+    by_count = dict(zip(settings.node_counts, per_count))
+    ascending = [by_count[j]["ensemble_mean_max_rho"] for j in sorted(by_count)]
     checks = {
         "optimized_leq_ensemble_best_max_rho": all(
             stats["optimized_max_rho"] <= stats["ensemble_best_max_rho"] for stats in per_count
         ),
         "mean_max_rho_decreases_with_node_count": all(
-            later["ensemble_mean_max_rho"] < earlier["ensemble_mean_max_rho"]
-            for earlier, later in zip(per_count, per_count[1:])
+            later < earlier for earlier, later in zip(ascending, ascending[1:])
         ),
     }
     summary = {
         "node_counts": list(settings.node_counts),
-        "by_node_count": {str(j): stats for j, stats in zip(settings.node_counts, per_count)},
+        "by_node_count": {str(j): stats for j, stats in by_count.items()},
     }
     tables = {"node_stats": Table(("node_count", "stat", "metric", "value"), rows)}
     return _bundle(settings, summary, tables, deployments_out, checks)

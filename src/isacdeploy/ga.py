@@ -114,7 +114,7 @@ class GaResult:
 
 def encode_deployment(deployment: Deployment) -> np.ndarray:
     """Flatten a deployment into its gene vector [x_1, y_1, theta_1, ...]."""
-    return deployment.as_array().ravel()
+    return deployment.poses.flatten()
 
 
 def decode_chromosome(genes) -> Deployment:
@@ -122,7 +122,7 @@ def decode_chromosome(genes) -> Deployment:
     genes = np.asarray(genes, dtype=float)
     if genes.ndim != 1 or genes.size == 0 or genes.size % 3:
         raise ValueError(f"gene vector length must be a positive multiple of 3, got {genes.size}")
-    return Deployment.from_array(genes.reshape(-1, 3))
+    return Deployment(genes.reshape(-1, 3))
 
 
 def deployment_bounds(scenario: Scenario) -> GeneBounds:

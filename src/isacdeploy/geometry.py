@@ -1,9 +1,9 @@
 """Deployment geometry: node poses, ULA element placement, spherical-wavefront
 steering vectors, and the coverage grid.
 
-Everything is planar. A deployment is a set of J nodes, each an N-element
-uniform linear array described by a pose (x, y, theta): the array phase
-center plus the orientation of the element line. Steering vectors use the
+Everything is planar. A deployment is J nodes, each an N-element uniform
+linear array described by one pose row [x, y, theta]: the array phase center
+plus the orientation of the element line. Steering vectors use the
 spherical-wavefront (range-dependent) phase model, so they distinguish
 positions rather than just directions.
 """
@@ -137,72 +137,55 @@ class Scenario:
         return wavelength_of(self.carrier_frequency)
 
 
-@dataclass(frozen=True)
-class NodePose:
-    """Pose of one array node: phase center (x, y) and element-line angle theta."""
-
-    x: float
-    y: float
-    theta: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "theta"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Deployment:
-    """Ordered node poses of one deployment (length = node count)."""
+    """Node poses of one deployment: a read-only (J, 3) float array of
+    [x, y, theta] rows, the phase center and element-line angle of each node
+    in node order. The constructor copies its input; `==` compares poses."""
 
-    poses: tuple[NodePose, ...]
+    poses: np.ndarray
 
     def __post_init__(self):
-        poses = tuple(self.poses)
-        if not poses:
-            raise ValueError("a deployment needs at least one node")
-        if not all(isinstance(p, NodePose) for p in poses):
-            raise TypeError("poses must be NodePose instances")
+        poses = np.array(self.poses, dtype=float)
+        if poses.ndim != 2 or poses.shape[1] != 3 or len(poses) == 0:
+            raise ValueError(f"a deployment needs a non-empty (J, 3) array of [x, y, theta] rows, got {poses.shape}")
+        if not np.all(np.isfinite(poses)):
+            raise ValueError("poses must be finite")
+        poses.flags.writeable = False
         object.__setattr__(self, "poses", poses)
+
+    def __eq__(self, other):
+        if not isinstance(other, Deployment):
+            return NotImplemented
+        return np.array_equal(self.poses, other.poses)
 
     @property
     def node_count(self) -> int:
         return len(self.poses)
 
     def as_array(self) -> np.ndarray:
-        """(J, 3) array of [x, y, theta] rows."""
-        return np.array([[p.x, p.y, p.theta] for p in self.poses], dtype=float)
+        """Writable copy of the (J, 3) pose array."""
+        return self.poses.copy()
 
     @classmethod
     def from_array(cls, rows) -> "Deployment":
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != 3:
-            raise ValueError(f"expected a (J, 3) pose array, got shape {rows.shape}")
-        return cls(tuple(NodePose(*row) for row in rows))
-
-
-def antenna_positions(pose: NodePose, n_antennas: int, spacing: float) -> np.ndarray:
-    """ULA element positions for one node, shape (N, 2).
-
-    Element n (1-based) sits at (x, y) + (n - (N+1)/2) * spacing along the
-    unit vector (cos theta, sin theta), so the array is centered on the pose.
-    """
-    if n_antennas < 1:
-        raise ValueError("n_antennas must be >= 1")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    offsets = (np.arange(1, n_antennas + 1) - 0.5 * (n_antennas + 1)) * spacing
-    direction = np.array([np.cos(pose.theta), np.sin(pose.theta)])
-    return np.array([pose.x, pose.y]) + offsets[:, np.newaxis] * direction
+        """The deployment of a (J, 3) array of [x, y, theta] rows (copied)."""
+        return cls(rows)
 
 
 def deployment_layout(deployment: Deployment, scenario: Scenario) -> np.ndarray:
-    """All antenna element positions, node-major, shape (N*J, 2)."""
-    return np.vstack(
-        [antenna_positions(p, scenario.antennas_per_node, scenario.element_spacing) for p in deployment.poses]
-    )
+    """All antenna element positions, node-major, shape (N*J, 2).
+
+    Element n (1-based) of a node sits at (x, y) + (n - (N+1)/2) * spacing
+    along the unit vector (cos theta, sin theta), so each array is centered
+    on its pose.
+    """
+    n = scenario.antennas_per_node
+    offsets = (np.arange(1, n + 1) - 0.5 * (n + 1)) * scenario.element_spacing
+    theta = deployment.poses[:, 2]
+    directions = np.column_stack((np.cos(theta), np.sin(theta)))
+    steps = offsets[:, np.newaxis] * directions[:, np.newaxis, :]  # (J, N, 2)
+    return (deployment.poses[:, np.newaxis, :2] + steps).reshape(-1, 2)
 
 
 def steering_matrix(layout: np.ndarray, targets, wavelength: float) -> np.ndarray:
@@ -281,16 +264,10 @@ def midpoint_baseline(scenario: Scenario) -> Deployment:
         )
     cx, cy = scenario.region_center
     r = scenario.region_radius
-    poses = []
-    for bearing in np.deg2rad((90.0, 210.0, 330.0)):
-        poses.append(
-            NodePose(
-                cx + r * np.cos(bearing),
-                cy + r * np.sin(bearing),
-                wrap_angle(bearing + 0.5 * np.pi),
-            )
-        )
-    return Deployment(tuple(poses))
+    bearings = np.deg2rad((90.0, 210.0, 330.0))
+    return Deployment(
+        np.column_stack((cx + r * np.cos(bearings), cy + r * np.sin(bearings), wrap_angle(bearings + 0.5 * np.pi)))
+    )
 
 
 def uniform_disk(rng: np.random.Generator, n: int, center, radius: float) -> np.ndarray:
@@ -314,7 +291,7 @@ def random_deployment(scenario: Scenario, rng: np.random.Generator) -> Deploymen
     """
     positions = uniform_disk(rng, scenario.node_count, scenario.region_center, scenario.region_radius)
     thetas = wrap_angle(TWO_PI * rng.random(scenario.node_count))
-    return Deployment(tuple(NodePose(x, y, t) for (x, y), t in zip(positions, thetas)))
+    return Deployment(np.column_stack((positions, thetas)))
 
 
 def deployment_violations(deployment: Deployment, scenario: Scenario, tol: float = 1e-9) -> list[str]:
@@ -330,13 +307,13 @@ def deployment_violations(deployment: Deployment, scenario: Scenario, tol: float
         )
     cx, cy = scenario.region_center
     limit = scenario.region_radius * (1.0 + tol)
-    for idx, pose in enumerate(deployment.poses):
-        dist = float(np.hypot(pose.x - cx, pose.y - cy))
+    for idx, (x, y, theta) in enumerate(deployment.poses.tolist()):
+        dist = float(np.hypot(x - cx, y - cy))
         if dist > limit:
             msgs.append(
-                f"node {idx}: position ({pose.x:.6g}, {pose.y:.6g}) is {dist:.6g} m from the "
+                f"node {idx}: position ({x:.6g}, {y:.6g}) is {dist:.6g} m from the "
                 f"center, outside the {scenario.region_radius:.6g} m region"
             )
-        if not 0.0 <= pose.theta < TWO_PI:
-            msgs.append(f"node {idx}: theta {pose.theta:.6g} outside [0, 2*pi)")
+        if not 0.0 <= theta < TWO_PI:
+            msgs.append(f"node {idx}: theta {theta:.6g} outside [0, 2*pi)")
     return msgs

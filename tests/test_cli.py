@@ -188,14 +188,16 @@ class TestMontecarloCommand:
         lines = (out / "scatter.csv").read_text().splitlines()
         assert all(line.endswith(",nan") for line in lines[1:])
 
+    # an unevolved population of 3 that a random deployment beats on max_rho
+    FAILING_CONFIG = {
+        "scenario": {"region_radius": 4.0, "snapshot_count": 32},
+        "ga": {"population_size": 3, "elite_count": 1, "max_generations": 0},
+        "experiment": {"seed": 1, "random_deployment_count": 6, "music": False},
+    }
+
     def test_failed_checks_exit_one_with_a_report(self, tmp_path, capsys):
-        config = {
-            "scenario": {"region_radius": 4.0, "snapshot_count": 32},
-            "ga": {"population_size": 3, "elite_count": 1, "max_generations": 0},
-            "experiment": {"seed": 1, "random_deployment_count": 6, "music": False},
-        }
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(self.FAILING_CONFIG))
         out = tmp_path / "run"
         assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
         report = json.loads((out / "failure-report.json").read_text())
@@ -205,6 +207,16 @@ class TestMontecarloCommand:
         assert summary["checks"]["optimized_has_lowest_max_rho"] is False
         assert (out / "scatter.csv").exists()
         assert "check failed: optimized_has_lowest_max_rho" in capsys.readouterr().err
+
+    def test_a_passing_rerun_removes_the_old_failure_report(self, tmp_path, config_path):
+        failing = tmp_path / "failing.json"
+        failing.write_text(json.dumps(self.FAILING_CONFIG))
+        out = tmp_path / "run"
+        assert main(["montecarlo", "--config", str(failing), "--out", str(out)]) == 1
+        assert (out / "failure-report.json").exists()
+        assert main(["montecarlo", "--config", str(config_path), "--out", str(out)]) == 0
+        assert all(read_summary(out)["checks"].values())
+        assert not (out / "failure-report.json").exists()
 
 
 class TestSnrSweepCommand:

@@ -21,7 +21,7 @@ from isacdeploy.config import (
 )
 from isacdeploy import correlation
 from isacdeploy.ga import GaParams
-from isacdeploy.geometry import Deployment, NodePose, Scenario, wavelength_of
+from isacdeploy.geometry import Deployment, Scenario, wavelength_of
 
 
 class TestParseConfig:
@@ -293,20 +293,18 @@ class TestWithSeed:
 
 class TestDeploymentJson:
     def test_round_trip(self):
-        deployment = Deployment(
-            (NodePose(1.0, 2.0, 0.5), NodePose(-3.0, 0.25, 3.0), NodePose(0.0, 0.0, 0.0))
-        )
+        deployment = Deployment([[1.0, 2.0, 0.5], [-3.0, 0.25, 3.0], [0.0, 0.0, 0.0]])
         assert parse_deployment(deployment_to_dict(deployment)) == deployment
 
     def test_dict_shape(self):
-        deployment = Deployment((NodePose(1.0, -2.0, 0.25),))
+        deployment = Deployment([[1.0, -2.0, 0.25]])
         assert deployment_to_dict(deployment) == {
             "poses": [{"x": 1.0, "y": -2.0, "theta": 0.25}]
         }
 
     def test_integers_are_accepted_as_coordinates(self):
         deployment = parse_deployment({"poses": [{"x": 1, "y": 2, "theta": 0}]})
-        assert deployment.poses[0] == NodePose(1.0, 2.0, 0.0)
+        assert deployment.poses.tolist() == [[1.0, 2.0, 0.0]]
 
     def test_top_level_shape_is_enforced(self):
         for document in ([], {}, {"poses": [], "extra": 1}, {"nodes": []}):
@@ -338,7 +336,7 @@ class TestDeploymentJson:
             parse_deployment({"poses": [{"x": math.nan, "y": 0, "theta": 0}]})
 
     def test_load_deployment_round_trip(self, tmp_path):
-        deployment = Deployment((NodePose(0.5, -0.5, 1.0), NodePose(2.0, 2.0, 0.0)))
+        deployment = Deployment([[0.5, -0.5, 1.0], [2.0, 2.0, 0.0]])
         path = tmp_path / "deployment.json"
         path.write_text(json.dumps(deployment_to_dict(deployment)))
         assert load_deployment(path) == deployment

@@ -27,7 +27,6 @@ from isacdeploy.correlation import (
 )
 from isacdeploy.geometry import (
     Deployment,
-    NodePose,
     Scenario,
     coverage_grid,
     deployment_layout,
@@ -133,7 +132,7 @@ class TestCodebook:
     def test_rejects_grid_point_on_antenna(self):
         s = Scenario(region_radius=3.0, element_spacing=1.0)
         # element offsets +-0.5, +-1.5 from node at (0.5, 0): elements hit (0,0), (1,0), (2,0), (-1,0)
-        dep = Deployment((NodePose(0.5, 0.0, 0.0), NodePose(0.5, 1.5, 0.25), NodePose(-1.0, -1.0, 0.5)))
+        dep = Deployment([[0.5, 0.0, 0.0], [0.5, 1.5, 0.25], [-1.0, -1.0, 0.5]])
         from isacdeploy.geometry import DegenerateGeometryError
 
         with pytest.raises(DegenerateGeometryError):
@@ -224,8 +223,7 @@ class TestMaxWeightedCorrelation:
 
     def test_collocated_nodes_flag_most_distant_ambiguous_pair(self):
         s = Scenario(region_radius=3.0)
-        pose = NodePose(0.25, 0.0, 0.0)
-        book = build_codebook(Deployment((pose, pose, pose)), s)
+        book = build_codebook(Deployment([[0.25, 0.0, 0.0]] * 3), s)
         report = max_weighted_correlation(book)
         i, j = report.arg_pair
         pi, pj = book.grid[i], book.grid[j]

@@ -21,7 +21,7 @@ from isacdeploy.experiments import (
     run_optimize,
     run_snr_sweep,
 )
-from isacdeploy.geometry import Deployment, NodePose, deployment_violations
+from isacdeploy.geometry import Deployment, deployment_violations
 
 
 def desk_config(kind, *, scenario=None, experiment=None):
@@ -142,10 +142,7 @@ class TestRunOptimize:
     def test_deterministic_across_runs(self, bundle):
         again = run_optimize(desk_config("optimize"))
         assert again.summary["best_fitness"] == bundle.summary["best_fitness"]
-        np.testing.assert_array_equal(
-            again.deployments["optimized"].as_array(),
-            bundle.deployments["optimized"].as_array(),
-        )
+        assert again.deployments["optimized"] == bundle.deployments["optimized"]
         assert again.tables["convergence"].rows == bundle.tables["convergence"].rows
 
     def test_worst_pair_points_lie_on_the_grid(self, bundle):
@@ -326,6 +323,15 @@ class TestRunNodeSweep:
             recomputed = max_weighted_correlation(build_codebook(saved, scenario)).max_value
             assert bundle.summary["by_node_count"][str(node_count)]["optimized_max_rho"] == recomputed
 
+    def test_trend_check_compares_counts_in_ascending_order(self):
+        listed, reversed_ = (
+            run_node_sweep(desk_config("node-sweep", experiment={"node_counts": counts, "music": False}))
+            for counts in ([2, 3], [3, 2])
+        )
+        assert reversed_.summary["node_counts"] == [3, 2]
+        assert reversed_.summary["by_node_count"] == listed.summary["by_node_count"]
+        assert reversed_.checks == listed.checks
+
     def test_music_off_drops_the_rmse_rows(self):
         bundle = run_node_sweep(
             desk_config("node-sweep", experiment={"node_counts": [2], "music": False})
@@ -337,9 +343,7 @@ class TestRunNodeSweep:
 class TestRunEvaluate:
     @pytest.fixture
     def deployment(self):
-        return Deployment(
-            (NodePose(0.0, 2.0, 0.0), NodePose(-2.0, -1.0, 2.0), NodePose(2.0, -1.0, 4.0))
-        )
+        return Deployment([[0.0, 2.0, 0.0], [-2.0, -1.0, 2.0], [2.0, -1.0, 4.0]])
 
     def test_metrics_match_direct_computation(self, deployment):
         config = desk_config("evaluate")
@@ -360,7 +364,7 @@ class TestRunEvaluate:
         assert math.isnan(bundle.tables["evaluation"].rows[0][3])
 
     def test_infeasible_deployment_is_rejected(self):
-        outside = Deployment((NodePose(10.0, 10.0, 0.0),))
+        outside = Deployment([[10.0, 10.0, 0.0]])
         with pytest.raises(InfeasibleDeploymentError) as excinfo:
             run_evaluate(desk_config("evaluate"), outside)
         assert excinfo.value.violations
@@ -376,7 +380,7 @@ class TestRunExperiment:
             run_experiment(desk_config("evaluate"))
 
     def test_evaluate_dispatch(self):
-        deployment = Deployment((NodePose(0.0, 1.0, 0.0), NodePose(0.0, -1.0, 1.0)))
+        deployment = Deployment([[0.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
         config = desk_config("evaluate", scenario={"node_count": 2})
         bundle = run_experiment(config, deployment=deployment)
         assert bundle.summary["kind"] == "evaluate"

@@ -32,7 +32,6 @@ from isacdeploy.ga import (
 from isacdeploy.geometry import (
     TWO_PI,
     Deployment,
-    NodePose,
     Scenario,
     deployment_violations,
     midpoint_baseline,
@@ -85,8 +84,11 @@ class TestEncoding:
         assert decode_chromosome(genes) == dep
 
     def test_gene_layout_is_pose_major(self):
-        dep = Deployment((NodePose(1.0, 2.0, 3.0), NodePose(4.0, 5.0, 6.0)))
-        assert np.array_equal(encode_deployment(dep), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        dep = Deployment([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        genes = encode_deployment(dep)
+        assert np.array_equal(genes, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        genes[0] = 9.0  # a writable copy
+        assert dep.poses[0, 0] == 1.0
 
     def test_decode_rejects_ragged_genes(self):
         with pytest.raises(ValueError):
@@ -295,8 +297,7 @@ class TestFitness:
         assert fitness(genes, small_scenario) == fitness(genes, small_scenario)
 
     def test_collocated_nodes_score_worse_than_spread_baseline(self, small_scenario):
-        pose = NodePose(0.25, 0.0, 0.0)
-        collocated = encode_deployment(Deployment((pose, pose, pose)))
+        collocated = encode_deployment(Deployment([[0.25, 0.0, 0.0]] * 3))
         baseline = encode_deployment(midpoint_baseline(small_scenario))
         assert fitness(collocated, small_scenario) > fitness(baseline, small_scenario)
 

@@ -1,10 +1,11 @@
-"""Geometry layer tests: poses, element placement, steering vectors, grid.
+"""Geometry layer tests: pose arrays, element placement, steering vectors, grid.
 
 Derived expectations are frozen from independent brute-force oracles
 (scalar loops over elements, exhaustive lattice enumeration, and an
 explicit triangle construction for the midpoint baseline).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,10 +16,8 @@ from isacdeploy.geometry import (
     TWO_PI,
     DegenerateGeometryError,
     Deployment,
-    NodePose,
     Scenario,
     UnsupportedConfigurationError,
-    antenna_positions,
     coverage_grid,
     deployment_layout,
     deployment_violations,
@@ -41,6 +40,12 @@ def ula_positions_oracle(x, y, theta, n, d):
         off = (k - (n + 1) / 2.0) * d
         pts.append((x + off * math.cos(theta), y + off * math.sin(theta)))
     return np.array(pts)
+
+
+def one_node_layout(x, y, theta, n, d):
+    """Element positions of a one-node deployment, shape (n, 2)."""
+    scenario = Scenario(node_count=1, antennas_per_node=n, element_spacing=d)
+    return deployment_layout(Deployment([[x, y, theta]]), scenario)
 
 
 def steering_oracle(layout, target, wavelength):
@@ -192,32 +197,63 @@ class TestScenario:
 
 class TestPoseAndDeployment:
     def test_pose_coerces_to_float(self):
-        p = NodePose(1, 2, 3)
-        assert (p.x, p.y, p.theta) == (1.0, 2.0, 3.0)
+        for rows in ([[1, 2, 3]], np.array([[1, 2, 3]], dtype=np.int64)):
+            dep = Deployment(rows)
+            assert dep.poses.dtype == np.float64
+            assert dep.poses.tolist() == [[1.0, 2.0, 3.0]]
 
     def test_pose_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            NodePose(float("nan"), 0.0, 0.0)
+        for column in range(3):
+            for bad in (float("nan"), float("inf")):
+                rows = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+                rows[1][column] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    Deployment(rows)
 
     def test_deployment_array_round_trip(self):
         rows = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, 4.0]])
         dep = Deployment.from_array(rows)
         assert dep.node_count == 2
+        assert np.array_equal(dep.poses, rows)
         assert np.array_equal(dep.as_array(), rows)
 
     def test_deployment_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Deployment(())
+        for empty in ((), np.empty((0, 3))):
+            with pytest.raises(ValueError):
+                Deployment(empty)
+
+    def test_deployment_rejects_other_shapes(self):
+        for rows in ([[0.0, 0.0]], [0.0, 0.0, 0.0], np.zeros((1, 1, 3)), 0.0):
+            with pytest.raises(ValueError, match=r"\(J, 3\)"):
+                Deployment(rows)
+
+    def test_poses_are_read_only(self):
+        dep = Deployment([[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            dep.poses[0, 0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dep.poses = np.zeros((1, 3))
+        copy = dep.as_array()
+        copy[0, 0] = 5.0
+        assert dep.poses[0, 0] == 1.0
+
+    def test_from_array_copies_its_input(self):
+        rows = np.array([[1.0, 2.0, 3.0]])
+        dep = Deployment.from_array(rows)
+        rows[0, 0] = 9.0
+        assert dep.poses[0, 0] == 1.0
+        assert rows.flags.writeable
+
+    def test_equality_compares_values(self):
+        rows = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert Deployment(rows) == Deployment(np.array(rows))
+        assert Deployment(rows) != Deployment([[1.0, 2.0, 3.5], [4.0, 5.0, 6.0]])
+        assert Deployment(rows) != Deployment(rows[:1])
+        assert Deployment(rows) != rows
 
     def test_violations_flag_out_of_region_and_bad_theta(self):
         s = Scenario()
-        dep = Deployment(
-            (
-                NodePose(s.region_radius * 2, 0.0, 0.0),
-                NodePose(0.0, 0.0, -0.5),
-                NodePose(1.0, 1.0, 1.0),
-            )
-        )
+        dep = Deployment([[s.region_radius * 2, 0.0, 0.0], [0.0, 0.0, -0.5], [1.0, 1.0, 1.0]])
         msgs = deployment_violations(dep, s)
         assert len(msgs) == 2
         assert "node 0" in msgs[0] and "node 1" in msgs[1]
@@ -232,18 +268,17 @@ class TestPoseAndDeployment:
 
 class TestAntennaPositions:
     def test_horizontal_offsets_exact(self):
-        pts = antenna_positions(NodePose(0.0, 0.0, 0.0), 4, 0.0625)
+        pts = one_node_layout(0.0, 0.0, 0.0, 4, 0.0625)
         assert pts[:, 0].tolist() == [-0.09375, -0.03125, 0.03125, 0.09375]
         assert np.array_equal(pts[:, 1], np.zeros(4))
 
     def test_vertical_offsets(self):
-        pts = antenna_positions(NodePose(0.0, 0.0, math.pi / 2), 4, 0.0625)
+        pts = one_node_layout(0.0, 0.0, math.pi / 2, 4, 0.0625)
         assert np.allclose(pts[:, 0], 0.0, atol=1e-16)
         assert pts[:, 1].tolist() == [-0.09375, -0.03125, 0.03125, 0.09375]
 
     def test_generic_pose_matches_oracle(self):
-        pose = NodePose(3.0, -2.0, 0.7)
-        pts = antenna_positions(pose, 4, 0.0625)
+        pts = one_node_layout(3.0, -2.0, 0.7, 4, 0.0625)
         assert np.allclose(pts, ula_positions_oracle(3.0, -2.0, 0.7, 4, 0.0625), atol=1e-15)
         assert np.allclose(pts.mean(axis=0), [3.0, -2.0], atol=1e-12)
         gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -253,28 +288,31 @@ class TestAntennaPositions:
         rng = np.random.default_rng(7)
         for _ in range(25):
             x, y, theta, phi = rng.uniform(-5, 5, 4)
-            base = antenna_positions(NodePose(0.0, 0.0, theta), 5, 0.21)
-            shifted = antenna_positions(NodePose(x, y, theta), 5, 0.21)
+            base = one_node_layout(0.0, 0.0, theta, 5, 0.21)
+            shifted = one_node_layout(x, y, theta, 5, 0.21)
             assert np.allclose(shifted, base + [x, y], atol=1e-12)
             rot = np.array(
                 [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
             )
-            rotated = antenna_positions(NodePose(0.0, 0.0, wrap_angle(theta + phi)), 5, 0.21)
+            rotated = one_node_layout(0.0, 0.0, wrap_angle(theta + phi), 5, 0.21)
             assert np.allclose(rotated, base @ rot.T, atol=1e-12)
 
     def test_single_element_sits_at_pose(self):
-        pts = antenna_positions(NodePose(1.5, 2.5, 1.0), 1, 0.1)
+        pts = one_node_layout(1.5, 2.5, 1.0, 1, 0.1)
         assert np.array_equal(pts, [[1.5, 2.5]])
 
     def test_layout_is_node_major(self):
-        s = Scenario()
-        dep = midpoint_baseline(s)
-        layout = deployment_layout(dep, s)
-        assert layout.shape == (12, 2)
-        for j, pose in enumerate(dep.poses):
-            block = layout[4 * j : 4 * (j + 1)]
-            expect = antenna_positions(pose, s.antennas_per_node, s.element_spacing)
-            assert np.array_equal(block, expect)
+        # each node's block is, bit for bit, that node alone
+        rng = np.random.default_rng(3)
+        for s in (Scenario(), Scenario(node_count=5, antennas_per_node=7)):
+            dep = random_deployment(s, rng)
+            layout = deployment_layout(dep, s)
+            n = s.antennas_per_node
+            assert layout.shape == (n * s.node_count, 2)
+            for j, pose in enumerate(dep.poses):
+                block = layout[n * j : n * (j + 1)]
+                assert np.array_equal(block, one_node_layout(*pose, n, s.element_spacing))
+                assert np.allclose(block, ula_positions_oracle(*pose, n, s.element_spacing), atol=1e-12)
 
 
 # ---------------------------------------------------------------- steering
@@ -376,18 +414,18 @@ class TestMidpointBaseline:
     def test_positions_match_triangle_oracle(self):
         s = Scenario()
         dep = midpoint_baseline(s)
-        got = np.array(sorted((p.x, p.y) for p in dep.poses))
+        got = np.array(sorted(map(tuple, dep.poses[:, :2])))
         want = np.array(sorted(map(tuple, tangency_points_oracle(s.region_radius))))
         assert np.allclose(got, want, atol=1e-12)
 
     def test_on_circle_with_equality(self):
         s = Scenario()
-        for pose in midpoint_baseline(s).poses:
-            assert math.hypot(pose.x, pose.y) == pytest.approx(s.region_radius, rel=1e-12)
+        for x, y, _ in midpoint_baseline(s).poses:
+            assert math.hypot(x, y) == pytest.approx(s.region_radius, rel=1e-12)
 
     def test_pairwise_distances_equilateral(self):
         s = Scenario()
-        pts = np.array([(p.x, p.y) for p in midpoint_baseline(s).poses])
+        pts = midpoint_baseline(s).poses[:, :2]
         want = s.region_radius * math.sqrt(3.0)
         for i in range(3):
             for j in range(i + 1, 3):
@@ -396,15 +434,15 @@ class TestMidpointBaseline:
     def test_arrays_tangent_to_circle(self):
         # element line perpendicular to the radius at each tangency point
         s = Scenario()
-        for pose in midpoint_baseline(s).poses:
-            radial = np.array([pose.x, pose.y]) / s.region_radius
-            line = np.array([math.cos(pose.theta), math.sin(pose.theta)])
+        for x, y, theta in midpoint_baseline(s).poses:
+            radial = np.array([x, y]) / s.region_radius
+            line = np.array([math.cos(theta), math.sin(theta)])
             assert abs(radial @ line) < 1e-12
 
     def test_respects_center_offset(self):
         s = Scenario(region_center=(5.0, -2.0), region_radius=4.0)
-        for pose in midpoint_baseline(s).poses:
-            assert math.hypot(pose.x - 5.0, pose.y + 2.0) == pytest.approx(4.0, rel=1e-12)
+        for x, y, _ in midpoint_baseline(s).poses:
+            assert math.hypot(x - 5.0, y + 2.0) == pytest.approx(4.0, rel=1e-12)
 
     def test_rejects_non_three_node_scenarios(self):
         with pytest.raises(UnsupportedConfigurationError):
@@ -427,13 +465,13 @@ class TestRandomDeployment:
         s = Scenario()
         a = random_deployment(s, np.random.default_rng(5))
         b = random_deployment(s, np.random.default_rng(5))
-        assert np.array_equal(a.as_array(), b.as_array())
+        assert a == b
 
     def test_distinct_across_seeds(self):
         s = Scenario()
         a = random_deployment(s, np.random.default_rng(5))
         b = random_deployment(s, np.random.default_rng(6))
-        assert not np.array_equal(a.as_array(), b.as_array())
+        assert a != b
 
     def test_disk_sampler_mean_near_center(self):
         r = 8.66

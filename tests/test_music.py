@@ -18,7 +18,6 @@ import pytest
 from isacdeploy.correlation import GridCodebook, build_codebook, weight_slabs
 from isacdeploy.geometry import (
     Deployment,
-    NodePose,
     Scenario,
     deployment_layout,
     midpoint_baseline,
@@ -201,7 +200,7 @@ class TestLocalize:
         # all arrays collinear on the x-axis: steering is even in y, so the
         # true point and its mirror tie exactly; argmin takes the lower index
         scenario = Scenario(region_radius=4.0)
-        dep = Deployment((NodePose(-2.0, 0.0, 0.0), NodePose(0.0, 0.0, 0.0), NodePose(2.0, 0.0, 0.0)))
+        dep = Deployment([[-2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         book = build_codebook(dep, scenario)
         layout = deployment_layout(dep, scenario)
         a_true = steering_vector(layout, (1.0, 2.0), scenario.wavelength)
