@@ -2,8 +2,8 @@
 Minimizing the worst-case correlation with a genetic algorithm
 ==============================================================
 
-Encodes a deployment as a flat chromosome [x, y, theta] per node and evolves
-a population with tournament selection, simulated binary crossover,
+Evolves a population of deployments, each the (J, 3) array of [x, y, theta]
+node poses, with tournament selection, simulated binary crossover,
 polynomial mutation, elitism, and feasibility projection into the circular
 region. The fitness being minimized is the maximum distance-weighted
 correlation over all grid-point pairs.
@@ -15,7 +15,6 @@ from isacdeploy import (
     GaParams,
     Scenario,
     build_codebook,
-    decode_chromosome,
     max_weighted_correlation,
     midpoint_baseline,
     random_deployment,
@@ -33,9 +32,8 @@ print(f"evaluations: {result.evaluations}")
 for generation in range(0, params.max_generations + 1, 10):
     print(f"generation {generation:3d}: best fitness {result.trace[generation]:.6f}")
 
-best = decode_chromosome(result.best)
 print("optimized deployment:")
-for index, (x, y, theta) in enumerate(best.poses):
+for index, (x, y, theta) in enumerate(result.best.poses):
     print(f"  node {index}: x={x:+.3f} y={y:+.3f} theta={theta:.3f} rad")
 
 # Compare against the midpoint baseline and a few random deployments.

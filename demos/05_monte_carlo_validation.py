@@ -15,7 +15,6 @@ from isacdeploy import (
     GaParams,
     Scenario,
     build_codebook,
-    decode_chromosome,
     derived_rng,
     max_weighted_correlation,
     midpoint_baseline,
@@ -34,7 +33,7 @@ result = run_ga(
     GaParams(population_size=24, elite_count=4, max_generations=30),
     derived_rng(seed, 0),
 )
-candidates = {"optimized": decode_chromosome(result.best), "midpoint": midpoint_baseline(scenario)}
+candidates = {"optimized": result.best, "midpoint": midpoint_baseline(scenario)}
 for k in range(8):
     candidates[f"random-{k}"] = random_deployment(scenario, derived_rng(seed, 1, k))
 

@@ -59,10 +59,6 @@ from isacdeploy.experiments import (
 from isacdeploy.ga import (
     GaParams,
     GaResult,
-    GeneBounds,
-    decode_chromosome,
-    deployment_bounds,
-    encode_deployment,
     fitness,
     polynomial_mutation,
     project_feasible,
@@ -113,7 +109,6 @@ __all__ = [
     "ExperimentSettings",
     "GaParams",
     "GaResult",
-    "GeneBounds",
     "GridCodebook",
     "InfeasibleDeploymentError",
     "LocalizationStats",
@@ -127,13 +122,10 @@ __all__ = [
     "complex_normal",
     "config_to_dict",
     "coverage_grid",
-    "decode_chromosome",
-    "deployment_bounds",
     "deployment_layout",
     "deployment_to_dict",
     "deployment_violations",
     "derived_rng",
-    "encode_deployment",
     "fitness",
     "frobenius_separability",
     "generate_snapshots",

@@ -97,10 +97,21 @@ class ExperimentConfig:
 
 
 def _number(value, where: str):
-    """`value` if it is a JSON number (booleans are not); otherwise a ConfigError naming `where`."""
+    """`value` if it is a JSON number (booleans are not) that converts to a
+    float; otherwise a ConfigError naming `where`. Integers keep their type."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise ConfigError(f"{where}: expected a number within the float range, got a {digits}-digit integer") from None
     return value
+
+
+def _key_name(key: str) -> str:
+    """A JSON key as an error message shows it: quoted unless it is a plain name."""
+    return key if key.isidentifier() else repr(key)
 
 
 def _build_section(data, cls, path: str):
@@ -111,7 +122,7 @@ def _build_section(data, cls, path: str):
     valid = {f.name for f in fields(cls)}
     for key in data:
         if key not in valid:
-            raise ConfigError(f"{path}.{key}: unknown key (valid keys: {', '.join(sorted(valid))})")
+            raise ConfigError(f"{path}.{_key_name(key)}: unknown key (valid keys: {', '.join(sorted(valid))})")
     lists = {f.name for f in fields(cls) if isinstance(f.default, tuple)}
     kwargs = {}
     for key, value in data.items():
@@ -139,7 +150,7 @@ def parse_config(document, expected_kind: str | None = None) -> ExperimentConfig
         raise ConfigError(f"top level must be a JSON object, got {type(document).__name__}")
     for key in document:
         if key not in ("scenario", "ga", "experiment"):
-            raise ConfigError(f"{key}: unknown top-level key (valid keys: experiment, ga, scenario)")
+            raise ConfigError(f"{_key_name(key)}: unknown top-level key (valid keys: experiment, ga, scenario)")
     scenario = _build_section(document.get("scenario", {}), Scenario, "scenario")
     ga = _build_section(document.get("ga", {}), GaParams, "ga")
     experiment_block = document.get("experiment", {})
@@ -174,6 +185,8 @@ def _read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer of over 4300 digits, or nesting too deep to parse
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path, expected_kind: str | None = None) -> ExperimentConfig:

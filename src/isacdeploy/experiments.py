@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import ExperimentConfig, ExperimentSettings
 from .correlation import CorrelationReport, build_codebook, max_weighted_correlation, pearson
-from .ga import decode_chromosome, run_ga
+from .ga import run_ga
 from .geometry import Deployment, deployment_violations, midpoint_baseline, random_deployment
 from .music import LocalizationStats, rmse_maps
 
@@ -112,7 +112,7 @@ def _deployments(config: ExperimentConfig, *key: int) -> tuple[dict[str, Deploym
     """
     scenario, settings = config.scenario, config.experiment
     result = run_ga(scenario, config.ga, derived_rng(settings.seed, _GA_STREAM, *key))
-    named = {"optimized": decode_chromosome(result.best)}
+    named = {"optimized": result.best}
     if scenario.node_count == 3:
         named["midpoint"] = midpoint_baseline(scenario)
     return named, _random_ensemble(scenario, settings, *key)
@@ -130,8 +130,7 @@ def run_optimize(config: ExperimentConfig) -> ResultBundle:
     """GA optimization: convergence trace plus the optimized deployment."""
     scenario, settings = config.scenario, config.experiment
     result = run_ga(scenario, config.ga, derived_rng(settings.seed, _GA_STREAM))
-    best = decode_chromosome(result.best)
-    _, worst_pair = _worst_pair(best, scenario)
+    _, worst_pair = _worst_pair(result.best, scenario)
     summary = {
         "best_fitness": result.best_fitness,
         "evaluations": result.evaluations,
@@ -142,11 +141,11 @@ def run_optimize(config: ExperimentConfig) -> ResultBundle:
     checks = {
         "trace_non_increasing": bool(np.all(np.diff(result.trace) <= 0.0)),
         "trace_length_matches_generations": result.trace.size == config.ga.max_generations + 1,
-        "best_deployment_feasible": deployment_violations(best, scenario) == [],
+        "best_deployment_feasible": deployment_violations(result.best, scenario) == [],
     }
     trace_rows = [(generation, float(value)) for generation, value in enumerate(result.trace)]
     tables = {"convergence": Table(("generation", "best_fitness"), trace_rows)}
-    return _bundle(settings, summary, tables, {"optimized": best}, checks)
+    return _bundle(settings, summary, tables, {"optimized": result.best}, checks)
 
 
 def run_montecarlo(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle:

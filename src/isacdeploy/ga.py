@@ -1,17 +1,18 @@
-"""Real-coded genetic algorithm over deployment chromosomes.
+"""Real-coded genetic algorithm over deployment pose arrays.
 
-A chromosome is the flat gene vector [x_1, y_1, theta_1, ..., x_J, y_J,
-theta_J]. Each generation: tournament selection into a parent pool, simulated
+An individual is the (J, 3) array of [x, y, theta] rows that a `Deployment`
+holds. Each generation: tournament selection into a parent pool, simulated
 binary crossover (SBX) on parent pairs, polynomial mutation, feasibility
 projection (clamp to the bounding square, radially scale into the region
-disk, wrap angles), and elitism - the best N_e chromosomes carry over
+disk, wrap angles), and elitism - the best N_e individuals carry over
 unchanged, with their fitness values cached.
 
 Random-stream layout is fixed so results are reproducible for a given seed:
 initialization draws P deployments in order; each generation draws, per
 offspring pair, two tournaments (one index block each), one crossover gate
 plus (only when the gate passes) one uniform block, then per child one
-mutation gate block and one mutation u block.
+mutation gate block and one mutation u block. A gene block is one (J, 3)
+draw, filled row by row: the same values, in the same order, as a 3J draw.
 """
 
 from __future__ import annotations
@@ -30,24 +31,6 @@ from .geometry import (
     random_deployment,
     wrap_angle,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class GeneBounds:
-    """Per-gene box bounds [lower, upper] of the polynomial mutation law."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise ValueError("lower and upper must have one entry per gene")
-        if not np.all(lower < upper):
-            raise ValueError("every lower bound must be strictly below its upper bound")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
 
 @dataclass(frozen=True)
@@ -78,18 +61,18 @@ class GaParams:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         for name in ("eta_crossover", "eta_mutation"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0:
+            if not 0.0 < value < float("inf"):
                 raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class GaResult:
-    """Best chromosome found, the per-generation best-fitness trace (index 0 =
-    initial population, last = `best_fitness`), the number of chromosomes
-    scored (P + G(P - N_e)) and how many of those repeated an earlier chromosome
+    """Best deployment found, the per-generation best-fitness trace (index 0 =
+    initial population, last = `best_fitness`), the number of individuals
+    scored (P + G(P - N_e)) and how many of those repeated an earlier individual
     of the run and took its cached fitness instead of a `fitness` call."""
 
-    best: np.ndarray
+    best: Deployment
     trace: np.ndarray
     evaluations: int
     cache_hits: int = 0
@@ -104,7 +87,6 @@ class GaResult:
             raise ValueError("evaluations must be >= 1")
         if not 0 <= self.cache_hits < self.evaluations:
             raise ValueError("cache_hits must be in [0, evaluations)")
-        object.__setattr__(self, "best", np.asarray(self.best, dtype=float))
         object.__setattr__(self, "trace", trace)
 
     @property
@@ -112,72 +94,50 @@ class GaResult:
         return float(self.trace[-1])
 
 
-def encode_deployment(deployment: Deployment) -> np.ndarray:
-    """Flatten a deployment into its gene vector [x_1, y_1, theta_1, ...]."""
-    return deployment.poses.flatten()
+def _check_poses(poses, scenario: Scenario) -> np.ndarray:
+    """`poses` as a float array, if it has the scenario's (J, 3) shape."""
+    poses = np.asarray(poses, dtype=float)
+    if poses.shape != (scenario.node_count, 3):
+        raise ValueError(f"expected a ({scenario.node_count}, 3) pose array, got shape {poses.shape}")
+    return poses
 
 
-def decode_chromosome(genes) -> Deployment:
-    """Rebuild the deployment encoded by a flat gene vector."""
-    genes = np.asarray(genes, dtype=float)
-    if genes.ndim != 1 or genes.size == 0 or genes.size % 3:
-        raise ValueError(f"gene vector length must be a positive multiple of 3, got {genes.size}")
-    return Deployment(genes.reshape(-1, 3))
-
-
-def deployment_bounds(scenario: Scenario) -> GeneBounds:
-    """Per-gene box bounds for J nodes: positions span the bounding square
-    of the region disk, angles [0, 2*pi]."""
-    cx, cy = scenario.region_center
-    r = scenario.region_radius
-    lower = np.tile([cx - r, cy - r, 0.0], scenario.node_count)
-    upper = np.tile([cx + r, cy + r, TWO_PI], scenario.node_count)
-    return GeneBounds(lower=lower, upper=upper)
-
-
-def project_feasible(genes, scenario: Scenario) -> np.ndarray:
-    """Project a chromosome into the feasible set.
+def project_feasible(poses, scenario: Scenario) -> np.ndarray:
+    """Project a (J, 3) pose array into the feasible set.
 
     Positions are clamped to the region's bounding square and then, if still
     outside the disk, radially scaled onto the circle; angles are wrapped to
-    [0, 2*pi). Feasible chromosomes are returned unchanged.
+    [0, 2*pi). Feasible poses are returned unchanged.
     """
-    genes = np.asarray(genes, dtype=float)
-    if genes.ndim != 1 or genes.size != 3 * scenario.node_count:
-        raise ValueError(f"expected {3 * scenario.node_count} genes, got shape {genes.shape}")
+    out = _check_poses(poses, scenario).copy()
     cx, cy = scenario.region_center
     r = scenario.region_radius
-    out = genes.copy()
-    xs = np.clip(out[0::3], cx - r, cx + r) - cx
-    ys = np.clip(out[1::3], cy - r, cy + r) - cy
+    xs = np.clip(out[:, 0], cx - r, cx + r) - cx
+    ys = np.clip(out[:, 1], cy - r, cy + r) - cy
     dist = np.hypot(xs, ys)
     scale = np.where(dist > r, r / np.where(dist > r, dist, 1.0), 1.0)
-    out[0::3] = cx + xs * scale
-    out[1::3] = cy + ys * scale
-    out[2::3] = wrap_angle(out[2::3])
+    out[:, 0] = cx + xs * scale
+    out[:, 1] = cy + ys * scale
+    out[:, 2] = wrap_angle(out[:, 2])
     return out
 
 
-def fitness(chromosome, scenario: Scenario) -> float:
-    """Deployment quality: the worst weighted steering correlation over all
-    grid pairs (lower is better). A chromosome that puts an antenna element
-    on a grid point scores +inf, so one degenerate child cannot abort a run."""
-    genes = np.asarray(chromosome, dtype=float)
-    if genes.size != 3 * scenario.node_count:
-        raise ValueError(
-            f"chromosome has {genes.size} genes, scenario expects {3 * scenario.node_count}"
-        )
+def fitness(poses, scenario: Scenario) -> float:
+    """Deployment quality of a (J, 3) pose array: the worst weighted steering
+    correlation over all grid pairs (lower is better). Poses that put an
+    antenna element on a grid point score +inf, so one degenerate child cannot
+    abort a run."""
     try:
-        codebook = build_codebook(decode_chromosome(genes), scenario)
+        codebook = build_codebook(Deployment(_check_poses(poses, scenario)), scenario)
     except DegenerateGeometryError:
         return float("inf")
     return max_weighted_correlation(codebook).max_value
 
 
-def tournament_select(population, fitnesses, k: int, rng) -> int:
+def tournament_select(fitnesses, k: int, rng) -> int:
     """Index of the fittest of k uniformly sampled candidates (with
     replacement); ties break to the lowest index."""
-    n = len(population)
+    n = len(fitnesses)
     if n < 1:
         raise ValueError("population must be non-empty")
     if k < 1:
@@ -197,11 +157,11 @@ def sbx_crossover(parent_a, parent_b, eta_c: float, p_c: float, rng):
     """
     a = np.array(parent_a, dtype=float)
     b = np.array(parent_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"parents must be equal-length vectors, got {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise ValueError(f"parents must have one shape, got {a.shape} and {b.shape}")
     if rng.random() >= p_c:
         return a, b
-    u = rng.random(a.size)
+    u = rng.random(a.shape)
     exponent = 1.0 / (eta_c + 1.0)
     beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 - 2.0 * u)) ** exponent)
     child_1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
@@ -209,26 +169,29 @@ def sbx_crossover(parent_a, parent_b, eta_c: float, p_c: float, rng):
     return child_1, child_2
 
 
-def polynomial_mutation(chromosome, eta_m: float, p_m: float, bounds: GeneBounds, rng) -> np.ndarray:
-    """Bounded polynomial mutation of each gene independently with probability p_m.
+def polynomial_mutation(poses, eta_m: float, p_m: float, scenario: Scenario, rng) -> np.ndarray:
+    """Bounded polynomial mutation of each gene of a (J, 3) pose array
+    independently with probability p_m, within the box [L, U] of each row:
+    [cx - r, cy - r, 0] to [cx + r, cy + r, 2*pi], the region's bounding square
+    and the angle range.
 
-    Stream layout: one full-length gate block, then one full-length u block
-    (both always consumed). For a mutated gene at z in [L, U], the
-    perturbation delta follows the two-branch polynomial law with distance
-    fractions delta_1 = (z-L)/(U-L), delta_2 = (U-z)/(U-L) and exponent
-    1/(eta_m+1); the new gene is z + delta*(U-L). The result is not
-    projected: `run_ga` passes every mutated child through `project_feasible`,
-    which clamps positions and wraps angles.
+    Stream layout: one (J, 3) gate block, then one (J, 3) u block (both always
+    consumed). For a mutated gene at z in [L, U], the perturbation delta
+    follows the two-branch polynomial law with distance fractions
+    delta_1 = (z-L)/(U-L), delta_2 = (U-z)/(U-L) and exponent 1/(eta_m+1); the
+    new gene is z + delta*(U-L). The result is not projected: `run_ga` passes
+    every mutated child through `project_feasible`, which clamps positions and
+    wraps angles.
     """
-    z = np.array(chromosome, dtype=float)
-    lower, upper = bounds.lower, bounds.upper
-    if z.shape != lower.shape:
-        raise ValueError(f"chromosome shape {z.shape} does not match bounds shape {lower.shape}")
+    z = _check_poses(poses, scenario)
+    cx, cy = scenario.region_center
+    r = scenario.region_radius
+    lower, upper = np.array([cx - r, cy - r, 0.0]), np.array([cx + r, cy + r, TWO_PI])
     span = upper - lower
     if np.any(z < lower - 1e-9 * span) or np.any(z > upper + 1e-9 * span):
-        raise ValueError("genes must lie within their bounds before mutation")
-    gates = rng.random(z.size) < p_m
-    u = rng.random(z.size)
+        raise ValueError("genes must lie within the region's box before mutation")
+    gates = rng.random(z.shape) < p_m
+    u = rng.random(z.shape)
     frac_low = np.clip((z - lower) / span, 0.0, 1.0)
     frac_high = np.clip((upper - z) / span, 0.0, 1.0)
     power = eta_m + 1.0
@@ -247,55 +210,46 @@ def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> Ga
     carried over with cached fitness. The best-fitness trace has one entry per
     generation plus the initial population, and is non-increasing by elitism.
     Fitness is evaluated serially, in population order; results depend only
-    on the seed. A chromosome whose genes repeat, bit for bit, one already
+    on the seed. An individual whose poses repeat, bit for bit, one already
     scored in the run reuses that score, so `fitness` runs once per distinct
-    chromosome.
+    individual.
     """
     scores: dict[bytes, float] = {}
 
-    def score(genes: np.ndarray) -> float:
-        key = genes.tobytes()
+    def score(poses: np.ndarray) -> float:
+        key = poses.tobytes()
         if key not in scores:
-            scores[key] = fitness(genes, scenario)
+            scores[key] = fitness(poses, scenario)
         return scores[key]
 
-    bounds = deployment_bounds(scenario)
-    population = [
-        encode_deployment(random_deployment(scenario, rng)) for _ in range(params.population_size)
-    ]
-    fitnesses = np.array([score(genes) for genes in population], dtype=float)
+    population = [random_deployment(scenario, rng).poses for _ in range(params.population_size)]
+    fitnesses = np.array([score(poses) for poses in population], dtype=float)
     evaluations = len(population)
     trace = [float(np.min(fitnesses))]
 
     for _ in range(params.max_generations):
         offspring: list[np.ndarray] = []
         while len(offspring) < params.population_size - params.elite_count:
-            first = tournament_select(population, fitnesses, params.tournament_size, rng)
-            second = tournament_select(population, fitnesses, params.tournament_size, rng)
+            first = tournament_select(fitnesses, params.tournament_size, rng)
+            second = tournament_select(fitnesses, params.tournament_size, rng)
             children = sbx_crossover(
-                population[first],
-                population[second],
-                params.eta_crossover,
-                params.crossover_probability,
-                rng,
+                population[first], population[second], params.eta_crossover, params.crossover_probability, rng
             )
             for child in children:
                 child = project_feasible(child, scenario)
-                child = polynomial_mutation(
-                    child, params.eta_mutation, params.mutation_probability, bounds, rng
-                )
+                child = polynomial_mutation(child, params.eta_mutation, params.mutation_probability, scenario, rng)
                 offspring.append(project_feasible(child, scenario))
         elite_order = np.argsort(fitnesses, kind="stable")[: params.elite_count]
         elites = [population[i] for i in elite_order]
         elite_fitnesses = fitnesses[elite_order]
-        offspring_fitnesses = np.array([score(genes) for genes in offspring], dtype=float)
+        offspring_fitnesses = np.array([score(poses) for poses in offspring], dtype=float)
         evaluations += len(offspring)
         population = elites + offspring
         fitnesses = np.concatenate([elite_fitnesses, offspring_fitnesses])
         trace.append(float(np.min(fitnesses)))
 
     return GaResult(
-        best=population[int(np.argmin(fitnesses))],
+        best=Deployment(population[int(np.argmin(fitnesses))]),
         trace=np.asarray(trace, dtype=float),
         evaluations=evaluations,
         cache_hits=evaluations - len(scores),

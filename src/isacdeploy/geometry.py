@@ -43,7 +43,7 @@ class UnsupportedConfigurationError(ValueError):
 
 def wavelength_of(frequency: float) -> float:
     """Carrier wavelength in meters for a frequency in Hz."""
-    if not np.isfinite(frequency) or frequency <= 0.0:
+    if not math.isfinite(frequency) or frequency <= 0.0:
         raise ValueError(f"carrier frequency must be positive and finite, got {frequency!r}")
     return SPEED_OF_LIGHT / frequency
 
@@ -99,13 +99,13 @@ class Scenario:
     element_spacing: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.carrier_frequency) or self.carrier_frequency <= 0:
+        if not math.isfinite(self.carrier_frequency) or self.carrier_frequency <= 0:
             raise ValueError("carrier_frequency must be positive")
         for name in ("antennas_per_node", "node_count", "snapshot_count"):
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 1))
         for name in ("region_radius", "grid_resolution"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0:
+            if not math.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
         if _grid_point_count(self.region_radius, self.grid_resolution) > MAX_GRID_POINTS:
             raise ValueError(
@@ -114,7 +114,7 @@ class Scenario:
                 "(the pair weights take about n^2 / 2 * 8 bytes)"
             )
         snr_to_powers(self.snr_db)  # finite and at most signals.MAX_SNR_DB
-        if not np.isfinite(self.alpha) or self.alpha < 0:
+        if not math.isfinite(self.alpha) or self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
         # no pair weight exceeds (2 * region_radius)^alpha; compared in logarithms, which stay finite
         log_span = math.log(2.0) + math.log(self.region_radius)
@@ -129,7 +129,7 @@ class Scenario:
         object.__setattr__(self, "region_center", center)
         if self.element_spacing is None:
             object.__setattr__(self, "element_spacing", 0.5 * self.wavelength)
-        if not np.isfinite(self.element_spacing) or self.element_spacing <= 0:
+        if not math.isfinite(self.element_spacing) or self.element_spacing <= 0:
             raise ValueError(f"element_spacing must be positive, got {self.element_spacing!r}")
 
     @property

@@ -16,6 +16,7 @@ plain formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ def snr_to_powers(snr_db: float) -> PowerLevels:
     per-element SNR is 10*log10(N*J) dB lower (10.8 dB for 3 nodes x 4
     antennas).
     """
-    if not np.isfinite(snr_db):
+    if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     if snr_db > MAX_SNR_DB:
         raise ValueError(

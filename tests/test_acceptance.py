@@ -27,9 +27,6 @@ from isacdeploy.correlation import (
 from isacdeploy.experiments import derived_rng
 from isacdeploy.ga import (
     GaParams,
-    decode_chromosome,
-    deployment_bounds,
-    encode_deployment,
     fitness,
     polynomial_mutation,
     project_feasible,
@@ -37,6 +34,7 @@ from isacdeploy.ga import (
     sbx_crossover,
 )
 from isacdeploy.geometry import (
+    Deployment,
     Scenario,
     coverage_grid,
     deployment_layout,
@@ -63,8 +61,9 @@ class ScriptedRng:
     def random(self, size=None):
         if size is None:
             return self.values.pop(0)
-        block, self.values = self.values[:size], self.values[size:]
-        return np.asarray(block, dtype=float)
+        count = int(np.prod(size))
+        block, self.values = self.values[:count], self.values[count:]
+        return np.reshape(block, size)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +83,7 @@ def ga_result(scenario):
 
 @pytest.fixture(scope="module")
 def optimized(ga_result):
-    return decode_chromosome(ga_result.best)
+    return ga_result.best
 
 
 @pytest.fixture(scope="module")
@@ -199,32 +198,31 @@ def test_criterion_05_noiseless_localization_is_exact(scenario, grid):
 
 def test_criterion_06_ga_operator_invariants(scenario):
     rng = derived_rng(SEED, 15)
-    bounds = deployment_bounds(scenario)
     genes = scenario.node_count * 3
 
-    parent_a = encode_deployment(random_deployment(scenario, rng))
-    parent_b = encode_deployment(random_deployment(scenario, rng))
+    parent_a = random_deployment(scenario, rng).poses
+    parent_b = random_deployment(scenario, rng).poses
     half_u = ScriptedRng([0.0] + [0.5] * genes)
     child_1, child_2 = sbx_crossover(parent_a, parent_b, 15.0, 0.8, half_u)
     np.testing.assert_array_equal(child_1, parent_a)
     np.testing.assert_array_equal(child_2, parent_b)
 
     identity = polynomial_mutation(
-        parent_a, 20.0, 1.0, bounds, ScriptedRng([0.0] * genes + [0.5] * genes)
+        parent_a, 20.0, 1.0, scenario, ScriptedRng([0.0] * genes + [0.5] * genes)
     )
     np.testing.assert_array_equal(identity, parent_a)
 
     for _ in range(200):
-        mother = encode_deployment(random_deployment(scenario, rng))
-        father = encode_deployment(random_deployment(scenario, rng))
+        mother = random_deployment(scenario, rng).poses
+        father = random_deployment(scenario, rng).poses
         child_1, child_2 = sbx_crossover(mother, father, 15.0, 1.0, rng)
         np.testing.assert_allclose(child_1 + child_2, mother + father, rtol=1e-12)
         for child in (child_1, child_2):
             mutated = polynomial_mutation(
-                project_feasible(child, scenario), 20.0, 0.5, bounds, rng
+                project_feasible(child, scenario), 20.0, 0.5, scenario, rng
             )
             projected = project_feasible(mutated, scenario)
-            assert deployment_violations(decode_chromosome(projected), scenario) == []
+            assert deployment_violations(Deployment(projected), scenario) == []
 
 
 def test_criterion_07_reference_scale_convergence(ga_result):
@@ -239,7 +237,7 @@ def test_criterion_07_reference_scale_convergence(ga_result):
 def test_criterion_08_deployment_ordering(
     scenario, ga_result, optimized, midpoint, random_ensemble, ensemble_rho, ensemble_rmse
 ):
-    midpoint_rho = fitness(encode_deployment(midpoint), scenario)
+    midpoint_rho = fitness(midpoint.poses, scenario)
     assert ga_result.best_fitness < min(ensemble_rho)
     assert ga_result.best_fitness < midpoint_rho
 

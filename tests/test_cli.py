@@ -498,3 +498,36 @@ class TestBadInputs:
             path.write_text(json.dumps({**DESK_CONFIG, "experiment": experiment}))
             assert main(["snr-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
             assert "experiment: snr_values_db[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, located",
+        [("optimize", "scenario.region_radius"), ("evaluate", "poses[0].x")],
+    )
+    def test_an_integer_beyond_the_float_range_exits_two_with_its_path(
+        self, tmp_path, refuse_runs, command, located, capsys
+    ):
+        # JSON holds 10^400 as an integer; no float can
+        config = {**DESK_CONFIG, "scenario": {**DESK_CONFIG["scenario"], "region_radius": 10**400}}
+        poses = deployment_to_dict(midpoint_baseline(Scenario(region_radius=4.0)))["poses"]
+        (tmp_path / "config.json").write_text(json.dumps(DESK_CONFIG if command == "evaluate" else config))
+        (tmp_path / "deployment.json").write_text(json.dumps({"poses": [{**poses[0], "x": 10**400}, *poses[1:]]}))
+        argv = [command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+        assert main(argv + ([str(tmp_path / "deployment.json")] if command == "evaluate" else [])) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {located}: expected a number within the float range, got a 401-digit integer\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"seed": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["5001-digit integer", "100000 nested lists"],
+    )
+    def test_json_beyond_the_parser_limits_exits_two(self, tmp_path, refuse_runs, text, reason, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1

@@ -144,6 +144,25 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="seed"):
                 parse_config({"experiment": {"kind": "optimize", "seed": bad}})
 
+    def test_numbers_beyond_the_float_range_are_located_errors(self):
+        # integers a float can hold keep their type; a larger one is an error wherever it stands
+        document = {"scenario": {"carrier_frequency": 10**300}, "experiment": {"kind": "optimize", "seed": 2**64 - 1}}
+        config = parse_config(document)
+        assert type(config.scenario.carrier_frequency) is int and config.scenario.carrier_frequency == 10**300
+        assert config.experiment.seed == 2**64 - 1
+        cases = {
+            "scenario.region_radius": {"scenario": {"region_radius": 10**400}},
+            "ga.population_size": {"ga": {"population_size": 10**400}},
+            r"experiment.seed": {"experiment": {"seed": -(10**400)}},
+            r"experiment.snr_values_db\[1\]": {"experiment": {"snr_values_db": [0, 10**400]}},
+        }
+        for located, document in cases.items():
+            document.setdefault("experiment", {})["kind"] = "optimize"
+            with pytest.raises(ConfigError, match=rf"^{located}: expected a number within the float range"):
+                parse_config(document)
+        with pytest.raises(ConfigError, match=r"^poses\[1\]\.theta: expected a number within the float range"):
+            parse_deployment({"poses": [{"x": 0, "y": 0, "theta": 0}, {"x": 0, "y": 0, "theta": 10**309}]})
+
     def test_empty_sweep_lists_are_errors(self):
         for key in ("alpha_values", "snr_values_db", "node_counts"):
             with pytest.raises(ConfigError, match=key):

@@ -23,6 +23,12 @@ def test_exported_names_are_unique():
     assert len(set(isacdeploy.__all__)) == len(isacdeploy.__all__)
 
 
+def test_the_ga_has_no_chromosome_codec():
+    # the GA evolves (J, 3) pose arrays and returns a Deployment: there is nothing to encode or decode
+    gone = ("GeneBounds", "encode_deployment", "decode_chromosome", "deployment_bounds")
+    assert [name for name in gone if name in isacdeploy.__all__ or hasattr(isacdeploy.ga, name)] == []
+
+
 @pytest.mark.parametrize(
     "preset, expected",
     [({}, ("1", "1", "1")), ({"OPENBLAS_NUM_THREADS": "3"}, ("3", "1", "1"))],
