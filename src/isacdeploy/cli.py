@@ -33,6 +33,7 @@ from .config import (
 from .correlation import UndefinedCorrelationError
 from .experiments import InfeasibleDeploymentError, Table, run_experiment
 from .geometry import DegenerateGeometryError
+from .validation import integer_at_least
 
 _COMMAND_HELP = {
     "optimize": "run the genetic optimizer and save the best deployment",
@@ -104,10 +105,9 @@ def main(argv=None) -> int:
                 config = with_seed(config, args.seed)
             except ValueError as exc:
                 raise ConfigError(f"--seed: {exc}") from exc
-        if args.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {args.threads}")
+        integer_at_least("threads", args.threads, 1)
         deployment = load_deployment(args.deployment) if args.command == "evaluate" else None
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or the threads check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

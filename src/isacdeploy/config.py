@@ -14,11 +14,10 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .ga import GaParams
-from .geometry import Deployment, Scenario, integer_at_least
+from .geometry import MAX_NOISE_BLOCK_BYTES, Deployment, Scenario
 from .signals import snr_to_powers
+from .validation import as_float, integer_at_least, real_in
 
 EXPERIMENT_KINDS = ("optimize", "montecarlo", "alpha-sweep", "snr-sweep", "node-sweep", "evaluate")
 
@@ -59,12 +58,12 @@ class ExperimentSettings:
                 "random_deployment_count must be >= 2 for alpha-sweep (a Pearson coefficient needs two "
                 f"deployments), got {self.random_deployment_count!r}"
             )
-        alphas = tuple(float(a) for a in self.alpha_values)
-        if not alphas or any(not np.isfinite(a) or a < 0 for a in alphas):
+        alphas = tuple(real_in(f"alpha_values[{index}]", a, 0.0) for index, a in enumerate(self.alpha_values))
+        if not alphas:
             raise ValueError(f"alpha_values must be a non-empty list of values >= 0, got {self.alpha_values!r}")
         if len(set(alphas)) < len(alphas):
             raise ValueError(f"alpha_values must list each value once, got {self.alpha_values!r}")
-        snrs = tuple(float(s) for s in self.snr_values_db)
+        snrs = tuple(real_in(f"snr_values_db[{index}]", s) for index, s in enumerate(self.snr_values_db))
         if not snrs:
             raise ValueError(f"snr_values_db must be a non-empty list of finite values, got {self.snr_values_db!r}")
         for index, snr_db in enumerate(snrs):
@@ -74,10 +73,9 @@ class ExperimentSettings:
                 raise ValueError(f"snr_values_db[{index}]: {exc}") from None
         if len(set(snrs)) < len(snrs):
             raise ValueError(f"snr_values_db must list each level once, got {self.snr_values_db!r}")
-        nodes = tuple(self.node_counts)
+        nodes = tuple(integer_at_least(f"node_counts[{index}]", j, 1) for index, j in enumerate(self.node_counts))
         if not nodes:
             raise ValueError(f"node_counts must be a non-empty list of integers >= 1, got {self.node_counts!r}")
-        nodes = tuple(integer_at_least(f"node_counts[{index}]", j, 1) for index, j in enumerate(nodes))
         if len(set(nodes)) < len(nodes):
             raise ValueError(f"node_counts must list each node count once, got {self.node_counts!r}")
         if not isinstance(self.music, bool):
@@ -97,15 +95,12 @@ class ExperimentConfig:
 
 
 def _number(value, where: str):
-    """`value` if it is a JSON number (booleans are not) that converts to a
-    float; otherwise a ConfigError naming `where`. Integers keep their type."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    """`value` if it is a JSON number (booleans are not) that a float holds;
+    otherwise a ConfigError naming `where`. Integers keep their type."""
     try:
-        float(value)
-    except OverflowError:
-        digits = len(str(abs(value)))
-        raise ConfigError(f"{where}: expected a number within the float range, got a {digits}-digit integer") from None
+        as_float(where, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return value
 
 
@@ -169,6 +164,14 @@ def parse_config(document, expected_kind: str | None = None) -> ExperimentConfig
             replace(scenario, alpha=alpha)  # the scenario each alpha-sweep level runs
         except ValueError as exc:
             raise ConfigError(f"experiment.alpha_values[{index}]: {exc}") from None
+    nodes = max(experiment.node_counts) if kind == "node-sweep" else scenario.node_count
+    block = experiment.trials_per_point * scenario.antennas_per_node * nodes * scenario.snapshot_count * 16
+    if block > MAX_NOISE_BLOCK_BYTES:
+        raise ConfigError(
+            f"experiment.trials_per_point: {experiment.trials_per_point} trials of {scenario.antennas_per_node} x "
+            f"{nodes} antennas x {scenario.snapshot_count} snapshots make a {block:.3g}-byte noise block, "
+            f"above MAX_NOISE_BLOCK_BYTES = {MAX_NOISE_BLOCK_BYTES} per Monte Carlo thread"
+        )
     return ExperimentConfig(scenario=scenario, ga=ga, experiment=experiment)
 
 
@@ -227,10 +230,10 @@ def parse_deployment(document) -> Deployment:
     for index, pose in enumerate(poses):
         if not isinstance(pose, dict) or set(pose) != {"x", "y", "theta"}:
             raise ConfigError(f"poses[{index}]: each pose needs exactly the keys x, y, theta")
-        row = [float(_number(pose[key], f"poses[{index}].{key}")) for key in ("x", "y", "theta")]
-        if not np.all(np.isfinite(row)):
-            raise ConfigError(f"poses[{index}]: x, y and theta must be finite, got {row}")
-        rows.append(row)
+        try:
+            rows.append([real_in(f"poses[{index}].{key}", pose[key]) for key in ("x", "y", "theta")])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return Deployment(rows)
 
 

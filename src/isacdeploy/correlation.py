@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Deployment, Scenario, coverage_grid, deployment_layout, steering_matrix
+from .validation import real_in
 
 BLOCK_ROWS = 64
 """Grid rows per block of the weight build and the worst-pair scan; 64 was
@@ -82,8 +83,7 @@ def weight_slabs(points, alpha: float) -> tuple[np.ndarray, ...]:
     a zeroed diagonal: exactly the part `max_weighted_correlation` reads. The
     last grid row has no pair j > i, so no slab holds it; n < 2 gives none.
     """
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    real_in("alpha", alpha, 0.0)
     points = np.asarray(points, dtype=float)
     return tuple(_slab(points, i0, alpha) for i0 in range(0, len(points) - 1, BLOCK_ROWS))
 
@@ -129,10 +129,8 @@ def weighted_correlation(a_i, a_j, distance: float, alpha: float) -> float:
     a_j = np.asarray(a_j)
     if a_i.shape != a_j.shape or a_i.ndim != 1:
         raise ValueError(f"expected two vectors of equal length, got shapes {a_i.shape} and {a_j.shape}")
-    if not np.isfinite(distance) or distance < 0:
-        raise ValueError(f"distance must be >= 0, got {distance!r}")
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    real_in("distance", distance, 0.0)
+    real_in("alpha", alpha, 0.0)
     return float(np.abs(np.vdot(a_i, a_j)) * distance**alpha)
 
 
@@ -202,8 +200,7 @@ def frobenius_separability(a_i, a_j, source_power: float) -> float:
     """
     a_i = _require_unit(a_i, "a_i")
     a_j = _require_unit(a_j, "a_j")
-    if not source_power > 0:
-        raise ValueError(f"source_power must be positive, got {source_power!r}")
+    real_in("source_power", source_power, 0.0, above=True)
     overlap_sq = float(np.abs(np.vdot(a_i, a_j)) ** 2)
     return float(source_power * np.sqrt(2.0 * max(0.0, 1.0 - overlap_sq)))
 

@@ -27,10 +27,10 @@ from .geometry import (
     DegenerateGeometryError,
     Deployment,
     Scenario,
-    integer_at_least,
     random_deployment,
     wrap_angle,
 )
+from .validation import integer_at_least, real_in
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,9 @@ class GaParams:
         if offspring < 2 or offspring % 2:
             raise ValueError("population_size - elite_count must be even and >= 2 (offspring pairs)")
         for name in ("crossover_probability", "mutation_probability"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+            real_in(name, getattr(self, name), 0.0, 1.0)
         for name in ("eta_crossover", "eta_mutation"):
-            value = getattr(self, name)
-            if not 0.0 < value < float("inf"):
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            real_in(name, getattr(self, name), 0.0, above=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +136,7 @@ def tournament_select(fitnesses, k: int, rng) -> int:
     n = len(fitnesses)
     if n < 1:
         raise ValueError("population must be non-empty")
-    if k < 1:
-        raise ValueError(f"tournament size must be >= 1, got {k!r}")
-    draws = rng.integers(0, n, size=k)
+    draws = rng.integers(0, n, size=integer_at_least("k", k, 1))
     return int(min((int(i) for i in draws), key=lambda i: (fitnesses[i], i)))
 
 

@@ -1,5 +1,5 @@
 """Deployment geometry: node poses, ULA element placement, spherical-wavefront
-steering vectors, and the coverage grid.
+steering vectors, the coverage grid, and the scenario with its size limits.
 
 Everything is planar. A deployment is J nodes, each an N-element uniform
 linear array described by one pose row [x, y, theta]: the array phase center
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import snr_to_powers
+from .validation import integer_at_least, real_in
 
 SPEED_OF_LIGHT = 299_792_458.0
 """Exact SI propagation speed (m/s) for frequency/wavelength conversion."""
@@ -29,6 +30,16 @@ about n(n + 64)/2 * 8 bytes: 57.5 MB at a 0.25 m reference grid (n = 3,761),
 about 400 MB at this limit and 2.2 GB at 0.1 m (n = 23,565). Larger grids are
 rejected when the scenario is built, before any O(n^2) array exists."""
 
+MAX_NOISE_BLOCK_BYTES = 1 << 30
+"""Largest Monte Carlo noise block a config may ask for, per worker thread:
+trials_per_point x antennas_per_node x J x snapshot_count complex128 values,
+J the largest node count the run uses. A 1000-trial point of the reference
+scenario takes 38.4 MB and the defaults 1.9 MB; `config.parse_config` rejects
+larger blocks before anything is allocated."""
+
+REGION_TOLERANCE = 1e-9
+"""Relative slack on the region radius in `deployment_violations`, for round-off."""
+
 
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
@@ -41,23 +52,10 @@ class UnsupportedConfigurationError(ValueError):
     """The operation is not defined for this scenario configuration."""
 
 
-def wavelength_of(frequency: float) -> float:
+def wavelength_of(carrier_frequency: float) -> float:
     """Carrier wavelength in meters for a frequency in Hz."""
-    if not math.isfinite(frequency) or frequency <= 0.0:
-        raise ValueError(f"carrier frequency must be positive and finite, got {frequency!r}")
-    return SPEED_OF_LIGHT / frequency
-
-
-def integer_at_least(name: str, value, minimum: int) -> int:
-    """`value` as an int if it is integral (8 and 8.0 pass; 2.5, inf, "8" and
-    True do not) and at least `minimum`; otherwise a ValueError naming `name`."""
-    try:
-        integral = not isinstance(value, (bool, np.bool_)) and int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+    real_in("carrier_frequency", carrier_frequency, 0.0, above=True)
+    return SPEED_OF_LIGHT / carrier_frequency
 
 
 def wrap_angle(theta):
@@ -99,14 +97,11 @@ class Scenario:
     element_spacing: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.carrier_frequency) or self.carrier_frequency <= 0:
-            raise ValueError("carrier_frequency must be positive")
+        wavelength = self.wavelength  # checks carrier_frequency
         for name in ("antennas_per_node", "node_count", "snapshot_count"):
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 1))
         for name in ("region_radius", "grid_resolution"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            real_in(name, getattr(self, name), 0.0, above=True)
         if _grid_point_count(self.region_radius, self.grid_resolution) > MAX_GRID_POINTS:
             raise ValueError(
                 f"grid_resolution {self.grid_resolution!r} gives more than MAX_GRID_POINTS = "
@@ -114,8 +109,7 @@ class Scenario:
                 "(the pair weights take about n^2 / 2 * 8 bytes)"
             )
         snr_to_powers(self.snr_db)  # finite and at most signals.MAX_SNR_DB
-        if not math.isfinite(self.alpha) or self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
+        real_in("alpha", self.alpha, 0.0)
         # no pair weight exceeds (2 * region_radius)^alpha; compared in logarithms, which stay finite
         log_span = math.log(2.0) + math.log(self.region_radius)
         if float(self.alpha) * log_span > _LOG_MAX_FLOAT:
@@ -123,14 +117,14 @@ class Scenario:
                 f"alpha must be at most {_LOG_MAX_FLOAT / log_span:.6g} for region_radius {self.region_radius:.6g} "
                 f"(above it the pair weight (2 * region_radius)^alpha overflows), got {self.alpha!r}"
             )
-        center = tuple(float(c) for c in self.region_center)
-        if len(center) != 2 or not all(np.isfinite(c) for c in center):
-            raise ValueError(f"region_center must be a finite 2-D point, got {self.region_center!r}")
-        object.__setattr__(self, "region_center", center)
+        try:
+            x, y = self.region_center
+        except (TypeError, ValueError):
+            raise ValueError(f"region_center must be a 2-D point, got {self.region_center!r}") from None
+        object.__setattr__(self, "region_center", (real_in("region_center[0]", x), real_in("region_center[1]", y)))
         if self.element_spacing is None:
-            object.__setattr__(self, "element_spacing", 0.5 * self.wavelength)
-        if not math.isfinite(self.element_spacing) or self.element_spacing <= 0:
-            raise ValueError(f"element_spacing must be positive, got {self.element_spacing!r}")
+            object.__setattr__(self, "element_spacing", 0.5 * wavelength)
+        real_in("element_spacing", self.element_spacing, 0.0, above=True)
 
     @property
     def wavelength(self) -> float:
@@ -201,8 +195,7 @@ def steering_matrix(layout: np.ndarray, targets, wavelength: float) -> np.ndarra
         targets = targets[np.newaxis, :]
     if layout.ndim != 2 or layout.shape[0] < 1 or layout.shape[1] != 2:
         raise ValueError(f"layout must be a non-empty (M, 2) array, got shape {layout.shape}")
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength!r}")
+    real_in("wavelength", wavelength, 0.0, above=True)
     ranges = np.hypot(
         targets[:, 0][:, np.newaxis] - layout[:, 0][np.newaxis, :],
         targets[:, 1][:, np.newaxis] - layout[:, 1][np.newaxis, :],
@@ -225,10 +218,8 @@ def coverage_grid(center, radius: float, resolution: float) -> np.ndarray:
     enumerated row-major: ascending y, then ascending x, so grid indices are
     stable across runs and implementations.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    if not resolution > 0:
-        raise ValueError(f"resolution must be positive, got {resolution!r}")
+    real_in("radius", radius, 0.0, above=True)
+    real_in("resolution", resolution, 0.0, above=True)
     cx, cy = float(center[0]), float(center[1])
     n = int(np.floor(radius / resolution))
     steps = np.arange(-n, n + 1) * resolution
@@ -294,11 +285,11 @@ def random_deployment(scenario: Scenario, rng: np.random.Generator) -> Deploymen
     return Deployment(np.column_stack((positions, thetas)))
 
 
-def deployment_violations(deployment: Deployment, scenario: Scenario, tol: float = 1e-9) -> list[str]:
+def deployment_violations(deployment: Deployment, scenario: Scenario) -> list[str]:
     """Feasibility violations as human-readable messages (empty when feasible).
 
-    Checks node count, the in-region invariant for every position (with a
-    relative radius tolerance for round-off), and theta in [0, 2*pi).
+    Checks node count, the in-region invariant for every position (with the
+    radius tolerance `REGION_TOLERANCE`), and theta in [0, 2*pi).
     """
     msgs = []
     if deployment.node_count != scenario.node_count:
@@ -306,7 +297,7 @@ def deployment_violations(deployment: Deployment, scenario: Scenario, tol: float
             f"deployment has {deployment.node_count} nodes, scenario expects {scenario.node_count}"
         )
     cx, cy = scenario.region_center
-    limit = scenario.region_radius * (1.0 + tol)
+    limit = scenario.region_radius * (1.0 + REGION_TOLERANCE)
     for idx, (x, y, theta) in enumerate(deployment.poses.tolist()):
         dist = float(np.hypot(x - cx, y - cy))
         if dist > limit:

@@ -31,6 +31,7 @@ import numpy as np
 from .correlation import GridCodebook, build_codebook
 from .geometry import Deployment, Scenario
 from .signals import PowerLevels, SnapshotWorkspace, snr_to_powers
+from .validation import integer_at_least
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +114,8 @@ def rmse_maps(
     other deployments. The pool has at most one worker per CPU core, however
     large `threads` is. `powers` overrides the scenario SNR (e.g. a zero noise power).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    trials = integer_at_least("trials", trials, 1)
+    threads = integer_at_least("threads", threads, 1)
     if powers is None:
         powers = snr_to_powers(scenario.snr_db)
     codebooks = [build_codebook(deployment, scenario) for deployment in deployments]

@@ -16,10 +16,11 @@ plain formulas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .validation import integer_at_least, real_in
 
 MAX_SNR_DB = 10.0 * float(np.log10(np.finfo(float).max / 2.0**64))
 """Highest accepted SNR, about 2,889.9 dB: the source power 10^(snr/10) stays
@@ -36,10 +37,7 @@ class PowerLevels:
 
     def __post_init__(self):
         for name in ("signal_power", "noise_power"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, real_in(name, getattr(self, name), 0.0))
 
 
 def snr_to_powers(snr_db: float) -> PowerLevels:
@@ -50,9 +48,7 @@ def snr_to_powers(snr_db: float) -> PowerLevels:
     per-element SNR is 10*log10(N*J) dB lower (10.8 dB for 3 nodes x 4
     antennas).
     """
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
-    if snr_db > MAX_SNR_DB:
+    if real_in("snr_db", snr_db) > MAX_SNR_DB:
         raise ValueError(
             f"snr_db must be at most {MAX_SNR_DB:.1f} dB (a larger power overflows the sample covariance), "
             f"got {snr_db!r}"
@@ -77,8 +73,7 @@ def complex_normal(rng: np.random.Generator, shape, variance: float, out=None, s
     when not given, so a caller that reuses both allocates nothing. Zero
     variance fills zeros without consuming draws.
     """
-    if variance < 0:
-        raise ValueError(f"variance must be >= 0, got {variance!r}")
+    real_in("variance", variance, 0.0)
     shape = tuple(shape)
     if out is None:
         out = np.empty(shape, dtype=complex)
@@ -155,11 +150,8 @@ def generate_snapshots(
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1 or a.size < 1:
         raise ValueError(f"steering vector must be 1-D and non-empty, got shape {a.shape}")
-    if n_snapshots < 1:
-        raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots!r}")
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    lead = () if trials is None else (trials,)
+    n_snapshots = integer_at_least("n_snapshots", n_snapshots, 1)
+    lead = () if trials is None else (integer_at_least("trials", trials, 1),)
     sources = complex_normal(rng, lead + (n_snapshots,), powers.signal_power)
     y = complex_normal(rng, lead + (a.size, n_snapshots), powers.noise_power)
     y += a[:, np.newaxis] * sources[..., np.newaxis, :]

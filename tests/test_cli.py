@@ -333,7 +333,10 @@ class TestBadInputs:
     def test_bad_thread_values_exit_two(self, config_path, capsys):
         for value in ("0", "-1"):
             assert main(["optimize", "--config", str(config_path), "--threads", value]) == 2
-            assert f"threads must be >= 1, got {value}" in capsys.readouterr().err
+            assert f"threads must be an integer >= 1, got {value}" in capsys.readouterr().err
+        # beyond the float range the Monte Carlo would refuse it mid-run, so the CLI stops it first
+        assert main(["montecarlo", "--config", str(config_path), "--threads", "1" + "0" * 400]) == 2
+        assert capsys.readouterr().err == "error: threads: expected a number within the float range, got a 401-digit integer\n"
 
     @pytest.mark.parametrize("kind", ["existing file", "path under a file"])
     def test_unusable_out_exits_two_before_the_run(self, tmp_path, config_path, refuse_runs, kind, capsys):
@@ -531,3 +534,31 @@ class TestBadInputs:
         assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, scenario, experiment, block",
+        [
+            ("evaluate", {"snapshot_count": 10**12}, {}, "3.84e+14"),
+            ("montecarlo", {}, {"trials_per_point": 10**9}, "6.14e+12"),
+            # the 400-node level, not the scenario's 3 nodes, sets the block
+            ("node-sweep", {"snapshot_count": 2_000_000}, {"node_counts": [2, 400]}, "1.02e+11"),
+        ],
+        ids=["evaluate", "montecarlo", "node-sweep"],
+    )
+    def test_a_noise_block_above_the_cap_exits_two_before_the_run(
+        self, tmp_path, refuse_runs, command, scenario, experiment, block, capsys
+    ):
+        config = {
+            "scenario": {**DESK_CONFIG["scenario"], **scenario},
+            "experiment": {**DESK_CONFIG["experiment"], **experiment},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / "deployment.json").write_text(
+            json.dumps(deployment_to_dict(midpoint_baseline(Scenario(region_radius=4.0))))
+        )
+        argv = [command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+        assert main(argv + ([str(tmp_path / "deployment.json")] if command == "evaluate" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment.trials_per_point: ") and err.count("\n") == 1
+        assert f"a {block}-byte noise block, above MAX_NOISE_BLOCK_BYTES = 1073741824" in err
+        assert not (tmp_path / "out").exists()

@@ -214,9 +214,9 @@ class TestParseConfig:
             parse_config({"experiment": document})
 
     def test_experiment_counts_reject_booleans_from_the_api(self):
-        with pytest.raises(ValueError, match=r"node_counts\[0\] must be an integer"):
+        with pytest.raises(ValueError, match=r"node_counts\[0\]: expected a number"):
             ExperimentSettings(kind="node-sweep", node_counts=(True,))
-        with pytest.raises(ValueError, match="trials_per_point must be an integer"):
+        with pytest.raises(ValueError, match="trials_per_point: expected a number"):
             ExperimentSettings(kind="montecarlo", trials_per_point=True)
 
     @pytest.mark.parametrize(

@@ -352,7 +352,7 @@ class TestGaParams:
 
     @pytest.mark.parametrize("field", ["population_size", "elite_count", "tournament_size", "max_generations"])
     def test_boolean_counts_are_rejected(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        with pytest.raises(ValueError, match=f"{field}: expected a number"):
             GaParams(**{field: True})
 
 
