@@ -49,7 +49,8 @@ class ExperimentSettings:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= _MAX_SEED:
+        as_float("seed", self.seed)
+        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MAX_SEED:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         for name in ("random_deployment_count", "trials_per_point"):
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 1))
@@ -94,45 +95,27 @@ class ExperimentConfig:
     experiment: ExperimentSettings
 
 
-def _number(value, where: str):
-    """`value` if it is a JSON number (booleans are not) that a float holds;
-    otherwise a ConfigError naming `where`. Integers keep their type."""
-    try:
-        as_float(where, value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return value
-
-
 def _key_name(key: str) -> str:
     """A JSON key as an error message shows it: quoted unless it is a plain name."""
     return key if key.isidentifier() else repr(key)
 
 
 def _build_section(data, cls, path: str):
-    """Every field except `kind` and `music` takes a JSON number, or a list of
-    numbers where the default is a tuple; `element_spacing` also takes null."""
+    """A `cls` from a JSON object of its fields, with a list where the default
+    is a tuple. `cls` checks every value; each of its messages starts with the
+    field's name, so the error reads `path.field …`."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    valid = {f.name for f in fields(cls)}
-    for key in data:
+    valid = {f.name: f.default for f in fields(cls)}
+    for key, value in data.items():
         if key not in valid:
             raise ConfigError(f"{path}.{_key_name(key)}: unknown key (valid keys: {', '.join(sorted(valid))})")
-    lists = {f.name for f in fields(cls) if isinstance(f.default, tuple)}
-    kwargs = {}
-    for key, value in data.items():
-        where = f"{path}.{key}"
-        if key in lists:
-            if not isinstance(value, list):
-                raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
-            value = tuple(_number(entry, f"{where}[{index}]") for index, entry in enumerate(value))
-        elif key not in ("kind", "music") and not (key == "element_spacing" and value is None):
-            _number(value, where)
-        kwargs[key] = value
+        if isinstance(valid[key], tuple) and not isinstance(value, list):
+            raise ConfigError(f"{path}.{key}: expected a list of numbers, got {value!r}")
     try:
-        return cls(**kwargs)
+        return cls(**data)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def parse_config(document, expected_kind: str | None = None) -> ExperimentConfig:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .correlation import build_codebook, max_weighted_correlation
 from .geometry import (
+    MAX_NOISE_BLOCK_BYTES,
     TWO_PI,
     DegenerateGeometryError,
     Deployment,
@@ -31,6 +32,13 @@ from .geometry import (
     wrap_angle,
 )
 from .validation import integer_at_least, real_in
+
+MAX_POPULATION_SIZE = MAX_NOISE_BLOCK_BYTES // 1024
+"""Largest GA population: the 1 GiB budget of MAX_NOISE_BLOCK_BYTES at 1 KiB
+per individual. tracemalloc reads about 0.85 KB per individual of a 3-node
+population through its first generation (poses, offspring and their fitness
+cache entries), 1.0 KB at 5 nodes; each further generation adds about 160 B
+per new individual to the run's cache."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +58,11 @@ class GaParams:
         minimums = {"population_size": 2, "elite_count": 1, "tournament_size": 1, "max_generations": 0}
         for name, minimum in minimums.items():
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), minimum))
+        if self.population_size > MAX_POPULATION_SIZE:
+            raise ValueError(
+                f"population_size must be at most MAX_POPULATION_SIZE = {MAX_POPULATION_SIZE} "
+                f"(about 1 KiB each), got {self.population_size!r}"
+            )
         if self.elite_count >= self.population_size:
             raise ValueError("elite_count must be in [1, population_size)")
         offspring = self.population_size - self.elite_count

@@ -387,7 +387,7 @@ class TestBadInputs:
             path.write_text(json.dumps({**DESK_CONFIG, "scenario": {"region_radius": 4.0, "snr_db": snr_db}}))
             argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
             assert main(argv + ([str(deployment)] if command == "evaluate" else [])) == 2
-            assert "scenario: snr_db" in capsys.readouterr().err
+            assert "scenario.snr_db" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "ga, code",
@@ -403,7 +403,7 @@ class TestBadInputs:
         path.write_text(json.dumps({**DESK_CONFIG, "ga": {**DESK_CONFIG["ga"], **ga}}))
         assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == code
         if code == 2:
-            assert f"ga: {next(iter(ga))} must be an integer" in capsys.readouterr().err
+            assert f"ga.{next(iter(ga))} must be an integer" in capsys.readouterr().err
         else:
             echoed = json.loads((tmp_path / "out" / "config-echo.json").read_text())["ga"]
             assert all(type(echoed[key]) is int for key in ga)
@@ -420,7 +420,7 @@ class TestBadInputs:
             experiment = {**DESK_CONFIG["experiment"], key: values, "music": False}
             path.write_text(json.dumps({**DESK_CONFIG, "experiment": experiment}))
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-            assert f"experiment: {key} must list each {what} once" in capsys.readouterr().err
+            assert f"experiment.{key} must list each {what} once" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
     def test_alpha_sweep_of_one_random_deployment_exits_two_before_any_run(self, tmp_path, monkeypatch, capsys):
@@ -433,7 +433,7 @@ class TestBadInputs:
         path.write_text(json.dumps({**DESK_CONFIG, "experiment": experiment}))
         assert main(["alpha-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "experiment: random_deployment_count must be >= 2 for alpha-sweep" in err
+        assert "experiment.random_deployment_count must be >= 2 for alpha-sweep" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -445,7 +445,7 @@ class TestBadInputs:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scenario": {"grid_resolution": 0.1}}))
         assert main(["evaluate", "--config", str(path), str(tmp_path / "unread.json")]) == 2
-        assert "scenario: grid_resolution 0.1" in capsys.readouterr().err
+        assert "scenario.grid_resolution 0.1" in capsys.readouterr().err
 
     def test_a_ga_without_elites_exits_two_before_any_run(self, tmp_path, refuse_runs, capsys):
         # elitism is what keeps the best fitness from rising between generations
@@ -453,7 +453,7 @@ class TestBadInputs:
         path.write_text(json.dumps({**DESK_CONFIG, "ga": {**DESK_CONFIG["ga"], "elite_count": 0}}))
         assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "ga: elite_count must be an integer >= 1, got 0" in err
+        assert "ga.elite_count must be an integer >= 1, got 0" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -467,7 +467,7 @@ class TestBadInputs:
         argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
         assert main(argv + ([str(deployment)] if command == "evaluate" else [])) == 2
         err = capsys.readouterr().err
-        assert "scenario: alpha must be at most 341.333 for region_radius 4" in err
+        assert "scenario.alpha must be at most 341.333 for region_radius 4" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -500,7 +500,7 @@ class TestBadInputs:
             experiment = {**DESK_CONFIG["experiment"], "snr_values_db": [snr_db, 0.0]}
             path.write_text(json.dumps({**DESK_CONFIG, "experiment": experiment}))
             assert main(["snr-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-            assert "experiment: snr_values_db[0]" in capsys.readouterr().err
+            assert "experiment.snr_values_db[0]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, located",
@@ -561,4 +561,19 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: experiment.trials_per_point: ") and err.count("\n") == 1
         assert f"a {block}-byte noise block, above MAX_NOISE_BLOCK_BYTES = 1073741824" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "montecarlo"])
+    @pytest.mark.parametrize("center", [1e15, 1e17])
+    def test_a_region_center_too_far_from_the_origin_exits_two_before_the_run(
+        self, tmp_path, refuse_runs, command, center, capsys
+    ):
+        # a float resolves coordinates near 1e15 m to 0.125 m and near 1e17 m to 16 m,
+        # coarser than the 0.0625 m element spacing
+        scenario = {**DESK_CONFIG["scenario"], "region_center": [center, 0.0]}
+        (tmp_path / "config.json").write_text(json.dumps({**DESK_CONFIG, "scenario": scenario}))
+        assert main([command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario.region_center ") and err.count("\n") == 1
+        assert "too far from the origin" in err
         assert not (tmp_path / "out").exists()

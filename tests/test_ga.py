@@ -350,6 +350,12 @@ class TestGaParams:
         with pytest.raises(ValueError):
             GaParams(max_generations=-1)
 
+    def test_population_size_is_capped_before_any_individual_exists(self):
+        assert GaParams(population_size=ga.MAX_POPULATION_SIZE).population_size == 2**20
+        for size in (ga.MAX_POPULATION_SIZE + 2, 10**300):
+            with pytest.raises(ValueError, match=r"^population_size must be at most MAX_POPULATION_SIZE = 1048576"):
+                GaParams(population_size=size)
+
     @pytest.mark.parametrize("field", ["population_size", "elite_count", "tournament_size", "max_generations"])
     def test_boolean_counts_are_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field}: expected a number"):

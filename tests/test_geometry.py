@@ -184,6 +184,19 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(**kwargs)
 
+    def test_region_center_must_keep_coordinates_resolved(self):
+        # a float spaces coordinates near 1e7 m by 1.9e-9 m: fine against the 0.0625 m
+        # element spacing; near 1e10 m by 1.9e-6 m, above a millionth of it
+        assert Scenario(region_center=(1e7, -1e7)).region_center == (1e7, -1e7)
+        assert Scenario(region_center=(5e8, 0.0)).region_center == (5e8, 0.0)
+        for center in ((1e10, 0.0), (0.0, -1e15), (1e17, 1.0)):
+            with pytest.raises(ValueError, match=r"^region_center .* too far from the origin"):
+                Scenario(region_center=center)
+        # the grid counts too, and a region at the origin is never refused
+        with pytest.raises(ValueError, match="region_center"):
+            Scenario(region_center=(1e7, 0.0), grid_resolution=1e-3, region_radius=0.01)
+        assert Scenario(carrier_frequency=1e300).region_center == (0.0, 0.0)
+
     def test_alpha_stops_where_the_largest_pair_weight_overflows(self):
         # (2 * radius)^alpha: 8^alpha at 4 m overflows above 341.33, 17.32^alpha at the reference radius above 248.88
         for radius, ok, too_large in ((4.0, 340.0, 342.0), (Scenario().region_radius, 248.0, 249.0)):

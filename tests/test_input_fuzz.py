@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isacdeploy import cli
-from isacdeploy.config import EXPERIMENT_KINDS, config_to_dict, deployment_to_dict
+from isacdeploy.config import EXPERIMENT_KINDS, ExperimentSettings, config_to_dict, deployment_to_dict
+from isacdeploy.ga import GaParams
 from isacdeploy.geometry import Scenario, midpoint_baseline
 
 DESK_CONFIG = {
@@ -32,11 +34,18 @@ DESK_CONFIG = {
 }
 DEPLOYMENT = deployment_to_dict(midpoint_baseline(Scenario(region_radius=4.0)))
 UNKNOWN_KEYS = ("snr", "Seed", "z")
-# where an error may say it is: a config block, the deployment's poses, the
-# document itself, a file, or an unknown top-level key (quoted unless a plain name)
+BLOCKS = {"scenario": Scenario, "ga": GaParams, "experiment": ExperimentSettings}
+# where an error may say it is: a field of a config block, an unknown key of one
+# or a block that is not an object, the deployment's poses, the document itself,
+# a file, or an unknown top-level key (keys quoted unless plain names)
+KEY = r"(\w+|'.*'|\".*\")"
 LOCATION = re.compile(
-    r"error: (scenario|ga|experiment|poses|top level|deployment document|\S+\.json)\b"
-    r"|error: (\w+|'.*'|\".*\"): unknown top-level key"
+    "|".join(
+        rf"error: {block}(\.({'|'.join(f.name for f in fields(cls))})\b|\.{KEY}: unknown key|: expected a JSON object)"
+        for block, cls in BLOCKS.items()
+    )
+    + r"|error: (poses|top level|deployment document|\S+\.json)\b"
+    + rf"|error: {KEY}: unknown top-level key"
 )
 
 # huge, tiny and non-finite numbers, and integers beyond numpy's integer types
