@@ -5,7 +5,7 @@ holds. Each generation: tournament selection into a parent pool, simulated
 binary crossover (SBX) on parent pairs, polynomial mutation, feasibility
 projection (clamp to the bounding square, radially scale into the region
 disk, wrap angles), and elitism - the best N_e individuals carry over
-unchanged, with their fitness values cached.
+unchanged, with their fitness. A generation is one (P, J, 3) pose array.
 
 Random-stream layout is fixed so results are reproducible for a given seed:
 initialization draws P deployments in order; each generation draws, per
@@ -35,10 +35,9 @@ from .validation import integer_at_least, real_in
 
 MAX_POPULATION_SIZE = MAX_NOISE_BLOCK_BYTES // 1024
 """Largest GA population: the 1 GiB budget of MAX_NOISE_BLOCK_BYTES at 1 KiB
-per individual. tracemalloc reads about 0.85 KB per individual of a 3-node
-population through its first generation (poses, offspring and their fitness
-cache entries), 1.0 KB at 5 nodes; each further generation adds about 160 B
-per new individual to the run's cache."""
+per individual. tracemalloc reads about 0.73 KB per individual of a 3-node
+population (poses, offspring and one generation's repeat lookup), 0.96 KB at
+5 nodes, from the second generation on; later generations add nothing."""
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,8 @@ class GaParams:
 class GaResult:
     """Best deployment found, the per-generation best-fitness trace (index 0 =
     initial population, last = `best_fitness`), the number of individuals
-    scored (P + G(P - N_e)) and how many of those repeated an earlier individual
-    of the run and took its cached fitness instead of a `fitness` call."""
+    scored (P + G(P - N_e)) and how many of those repeated a parent or an
+    earlier offspring of their generation and so skipped a `fitness` call."""
 
     best: Deployment
     trace: np.ndarray
@@ -162,6 +161,7 @@ def sbx_crossover(parent_a, parent_b, eta_c: float, p_c: float, rng):
     u <= 1/2, else (1/(2-2u))^(1/(eta_c+1)); gene-wise child sums equal parent
     sums. Children are raw (not projected into the feasible set).
     """
+    p_c, eta_c = real_in("p_c", p_c, 0.0, 1.0), real_in("eta_c", eta_c, 0.0, above=True)
     a = np.array(parent_a, dtype=float)
     b = np.array(parent_b, dtype=float)
     if a.shape != b.shape:
@@ -190,6 +190,7 @@ def polynomial_mutation(poses, eta_m: float, p_m: float, scenario: Scenario, rng
     every mutated child through `project_feasible`, which clamps positions and
     wraps angles.
     """
+    p_m, eta_m = real_in("p_m", p_m, 0.0, 1.0), real_in("eta_m", eta_m, 0.0, above=True)
     z = _check_poses(poses, scenario)
     cx, cy = scenario.region_center
     r = scenario.region_radius
@@ -212,52 +213,50 @@ def polynomial_mutation(poses, eta_m: float, p_m: float, scenario: Scenario, rng
 def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> GaResult:
     """Evolve deployments against the worst-pair correlation metric.
 
-    Per generation: P - N_e offspring from tournament parents via SBX +
-    polynomial mutation + feasibility projection, plus the N_e best incumbents
-    carried over with cached fitness. The best-fitness trace has one entry per
-    generation plus the initial population, and is non-increasing by elitism.
-    Fitness is evaluated serially, in population order; results depend only
-    on the seed. An individual whose poses repeat, bit for bit, one already
-    scored in the run reuses that score, so `fitness` runs once per distinct
-    individual.
+    The population is one (P, J, 3) pose array with a (P,) fitness vector. Per
+    generation: P - N_e offspring from tournament parents via SBX + polynomial
+    mutation + feasibility projection, written into one reused block, plus the
+    N_e best incumbents carried over with their fitness. The best-fitness trace
+    has one entry per generation plus the initial population, and is
+    non-increasing by elitism. Fitness is evaluated serially, in population
+    order; results depend only on the seed. An individual whose poses repeat,
+    bit for bit, a member of its parent generation or an earlier offspring of
+    its own reuses that score; nothing older is kept.
     """
-    scores: dict[bytes, float] = {}
+    offspring = np.empty((params.population_size - params.elite_count, scenario.node_count, 3))
+    # generation 0 scores the initial population as the offspring of an empty one
+    block = np.stack([random_deployment(scenario, rng).poses for _ in range(params.population_size)])
+    population, fitnesses = block[:0], np.empty(0)
+    trace, calls = [], 0
 
-    def score(poses: np.ndarray) -> float:
-        key = poses.tobytes()
-        if key not in scores:
-            scores[key] = fitness(poses, scenario)
-        return scores[key]
-
-    population = [random_deployment(scenario, rng).poses for _ in range(params.population_size)]
-    fitnesses = np.array([score(poses) for poses in population], dtype=float)
-    evaluations = len(population)
-    trace = [float(np.min(fitnesses))]
-
-    for _ in range(params.max_generations):
-        offspring: list[np.ndarray] = []
-        while len(offspring) < params.population_size - params.elite_count:
-            first = tournament_select(fitnesses, params.tournament_size, rng)
-            second = tournament_select(fitnesses, params.tournament_size, rng)
-            children = sbx_crossover(
-                population[first], population[second], params.eta_crossover, params.crossover_probability, rng
-            )
-            for child in children:
-                child = project_feasible(child, scenario)
-                child = polynomial_mutation(child, params.eta_mutation, params.mutation_probability, scenario, rng)
-                offspring.append(project_feasible(child, scenario))
+    for generation in range(params.max_generations + 1):
+        if generation:
+            for pair in range(0, len(offspring), 2):
+                first = tournament_select(fitnesses, params.tournament_size, rng)
+                second = tournament_select(fitnesses, params.tournament_size, rng)
+                children = sbx_crossover(
+                    population[first], population[second], params.eta_crossover, params.crossover_probability, rng
+                )
+                for index, child in enumerate(children, start=pair):
+                    child = project_feasible(child, scenario)
+                    child = polynomial_mutation(child, params.eta_mutation, params.mutation_probability, scenario, rng)
+                    offspring[index] = project_feasible(child, scenario)
+            block = offspring
+        seen = {poses.tobytes(): value for poses, value in zip(population, fitnesses)}
+        calls -= len(seen)
+        for poses in block:
+            if (key := poses.tobytes()) not in seen:
+                seen[key] = fitness(poses, scenario)
+        calls += len(seen)
         elite_order = np.argsort(fitnesses, kind="stable")[: params.elite_count]
-        elites = [population[i] for i in elite_order]
-        elite_fitnesses = fitnesses[elite_order]
-        offspring_fitnesses = np.array([score(poses) for poses in offspring], dtype=float)
-        evaluations += len(offspring)
-        population = elites + offspring
-        fitnesses = np.concatenate([elite_fitnesses, offspring_fitnesses])
+        population = np.concatenate([population[elite_order], block])
+        fitnesses = np.concatenate([fitnesses[elite_order], [seen[poses.tobytes()] for poses in block]])
         trace.append(float(np.min(fitnesses)))
 
+    evaluations = params.population_size + params.max_generations * len(offspring)
     return GaResult(
         best=Deployment(population[int(np.argmin(fitnesses))]),
         trace=np.asarray(trace, dtype=float),
         evaluations=evaluations,
-        cache_hits=evaluations - len(scores),
+        cache_hits=evaluations - calls,
     )

@@ -127,6 +127,8 @@ class TestRunOptimize:
 
     def test_summary_counts_fitness_cache_hits(self, bundle):
         assert 0 <= bundle.summary["fitness_cache_hits"] < bundle.summary["evaluations"]
+        # one offspring repeats a parent and one an earlier offspring of its own generation
+        assert bundle.summary["fitness_cache_hits"] == 2
 
     def test_checks_pass(self, bundle):
         assert bundle.checks == {

@@ -7,6 +7,7 @@ feasibility of every result, and one seeded run's exact trace and best poses.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,11 @@ class TestSbxCrossover:
         with pytest.raises(ValueError):
             sbx_crossover(np.ones(3), np.ones(4), 15.0, 0.8, np.random.default_rng(7))
 
+    @pytest.mark.parametrize("eta_c, p_c, name", [(-1.0, 1.0, "eta_c"), (0.0, 1.0, "eta_c"), (15.0, 1.5, "p_c")])
+    def test_rejects_out_of_range_scalars_before_any_draw(self, eta_c, p_c, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            sbx_crossover(np.ones(2), np.ones(2), eta_c, p_c, ScriptedRng())  # a draw would raise IndexError
+
 
 # ---------------------------------------------------------------- mutation
 
@@ -272,6 +278,11 @@ class TestPolynomialMutation:
     def test_rejects_out_of_bounds_gene(self):
         with pytest.raises(ValueError):
             polynomial_mutation(np.array([[1.5, 0.5, 1.0]]), 20.0, 1.0, unit_box(), np.random.default_rng(9))
+
+    @pytest.mark.parametrize("eta_m, p_m, name", [(-1.0, 1.0, "eta_m"), (0.0, 1.0, "eta_m"), (20.0, -0.1, "p_m")])
+    def test_rejects_out_of_range_scalars_before_any_draw(self, eta_m, p_m, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            polynomial_mutation(np.array([[0.5, 0.5, 1.0]]), eta_m, p_m, unit_box(), ScriptedRng())
 
 
 # ---------------------------------------------------------------- fitness
@@ -444,7 +455,7 @@ class TestGoldenStream:
 
 
 class TestFitnessCache:
-    """`run_ga` scores each distinct individual of a run once."""
+    """`run_ga` scores each distinct individual of a generation once."""
 
     @staticmethod
     def counted_run(monkeypatch, scenario, params, seed):
@@ -473,3 +484,23 @@ class TestFitnessCache:
         assert len(calls) == 8
         assert result.evaluations == 8 + 5 * 6
         assert result.cache_hits == 5 * 6
+
+
+class TestMemory:
+    """`run_ga` keeps one generation: its peak traced memory does not grow
+    with `max_generations`."""
+
+    @staticmethod
+    def peak_bytes(generations):
+        params = GaParams(population_size=20, elite_count=2, max_generations=generations)
+        tracemalloc.start()
+        try:
+            run_ga(Scenario(region_radius=2.0, snapshot_count=4), params, np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_generations(self):
+        self.peak_bytes(1)  # a first run in a process also traces one-time allocations (~1 MB)
+        short = self.peak_bytes(25)
+        assert self.peak_bytes(200) - short < 64 * 1024

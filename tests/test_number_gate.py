@@ -12,7 +12,7 @@ import pytest
 
 from isacdeploy.config import ExperimentSettings, parse_config, parse_deployment
 from isacdeploy.correlation import frobenius_separability, weight_slabs, weighted_correlation
-from isacdeploy.ga import GaParams, tournament_select
+from isacdeploy.ga import GaParams, polynomial_mutation, sbx_crossover, tournament_select
 from isacdeploy.geometry import Scenario, coverage_grid, midpoint_baseline, steering_matrix, wavelength_of
 from isacdeploy.music import rmse_map
 from isacdeploy.signals import PowerLevels, complex_normal, generate_snapshots, snr_to_powers
@@ -20,6 +20,7 @@ from isacdeploy.signals import PowerLevels, complex_normal, generate_snapshots, 
 SMALL = Scenario(region_radius=2.0, snapshot_count=4)
 UNIT = np.array([1.0, 0.0], dtype=complex)
 LAYOUT = np.array([[0.0, 0.0], [0.0, 0.06]])
+POSES = midpoint_baseline(SMALL).poses
 
 
 def _rng():
@@ -53,6 +54,10 @@ REAL = [
     ("mutation_probability", lambda v: GaParams(mutation_probability=v)),
     ("eta_crossover", lambda v: GaParams(eta_crossover=v)),
     ("eta_mutation", lambda v: GaParams(eta_mutation=v)),
+    ("eta_c", lambda v: sbx_crossover(POSES, POSES, v, 1.0, _rng())),
+    ("p_c", lambda v: sbx_crossover(POSES, POSES, 15.0, v, _rng())),
+    ("eta_m", lambda v: polynomial_mutation(POSES, v, 1.0, SMALL, _rng())),
+    ("p_m", lambda v: polynomial_mutation(POSES, 20.0, v, SMALL, _rng())),
     ("alpha_values[0]", lambda v: ExperimentSettings(kind="alpha-sweep", alpha_values=(v,))),
     ("snr_values_db[0]", lambda v: ExperimentSettings(kind="snr-sweep", snr_values_db=(v,))),
     ("poses[0].x", lambda v: parse_deployment({"poses": [{"x": v, "y": 0, "theta": 0}]})),
