@@ -35,9 +35,9 @@ from .validation import integer_at_least, real_in
 
 MAX_POPULATION_SIZE = MAX_NOISE_BLOCK_BYTES // 1024
 """Largest GA population: the 1 GiB budget of MAX_NOISE_BLOCK_BYTES at 1 KiB
-per individual. tracemalloc reads about 0.73 KB per individual of a 3-node
-population (poses, offspring and one generation's repeat lookup), 0.96 KB at
-5 nodes, from the second generation on; later generations add nothing."""
+per individual. tracemalloc reads about 0.60 KB per individual of a 3-node
+population (poses, offspring and one generation's repeat lookup), 0.84 KB at
+5 nodes, in every generation; later generations add nothing."""
 
 
 @dataclass(frozen=True)
@@ -251,6 +251,7 @@ def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> Ga
         elite_order = np.argsort(fitnesses, kind="stable")[: params.elite_count]
         population = np.concatenate([population[elite_order], block])
         fitnesses = np.concatenate([fitnesses[elite_order], [seen[poses.tobytes()] for poses in block]])
+        del seen  # the lookup dies with its generation
         trace.append(float(np.min(fitnesses)))
 
     evaluations = params.population_size + params.max_generations * len(offspring)

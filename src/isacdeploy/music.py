@@ -12,8 +12,9 @@ M - 1. Ties go to the lowest grid index.
 calls it on one covariance, and `rmse_maps` on each grid point's stack for
 every deployment of an ensemble. Each worker thread draws its share of the
 grid points into one `signals.SnapshotWorkspace`; a point's source and noise
-blocks serve every deployment, and only y = a*s + n and its reduction are
-per deployment. `rmse_map` is the map of one deployment.
+blocks are drawn and reduced once for every deployment, and only the (M, M)
+covariance assembly and its eigendecomposition are per deployment. `rmse_map`
+is the map of one deployment.
 
 Monte Carlo RMSE maps draw per-grid-point child streams from the caller's
 generator, so identically seeded generators give common random numbers

@@ -9,9 +9,9 @@ E * a a^H + sigma^2 * I.
 `generate_snapshots` and `sample_covariance` are the plain whole-stack
 formulas. `SnapshotWorkspace` is the Monte Carlo path (`music.rmse_maps` keeps
 one per worker thread): it draws a stack's source and noise blocks once and
-reduces y = a*s + n for each steering vector a chunk of trials at a time, so a
-reused workspace allocates only the covariances, and its bits are those of the
-plain formulas.
+reduces them once to per-trial sums, from which each steering vector's
+covariances are an (M, M) assembly per trial, equal to the plain formulas up
+to rounding.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ def snr_to_powers(snr_db: float) -> PowerLevels:
 
 
 CHUNK_BYTES = 1 << 18
-"""Target size of each of a `SnapshotWorkspace`'s two scratch chunks. It
-changes no result; scratches from one trial to a whole 50-trial stack timed
-alike on a 2-core Xeon, and a small one keeps a thread's memory near one stack."""
+"""Size of a `SnapshotWorkspace`'s float scratch, which the raw normal draws
+pass through. It changes no result; a small one keeps a thread's memory near
+one noise block."""
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float, out=None, scratch=None) -> np.ndarray:
@@ -95,46 +95,41 @@ def complex_normal(rng: np.random.Generator, shape, variance: float, out=None, s
 
 
 class SnapshotWorkspace:
-    """Buffers for one (trials, M, T) snapshot stack and its covariances, reused draw after draw.
+    """Buffers for one (trials, M, T) snapshot stack, reused draw after draw.
 
     `sources` holds the (trials, T) source block s and `noise` the noise block
-    n. `scratch` holds two chunks of k whole trials, about `CHUNK_BYTES` each
-    and at least one trial: the raw normal draws pass through its float view,
-    and `covariances` builds each chunk of y = a*s + n and its conjugate in
-    it. Every step writes a buffer before reading it, so nothing carries over
-    from one draw to the next.
+    n; the raw normal draws pass through the float `scratch`. `draw` refills
+    them and replaces the per-trial sums `power` S = sum_t |s_t|^2,
+    `cross` b = sum_t n_t s_t^* and `gram` C = sum_t n_t n_t^H, so nothing
+    carries over from one draw to the next. Then
+    T * R(a) = S*a a^H + a b^H + b a^H + C for every steering vector a.
     """
 
     def __init__(self, trials: int, m: int, t: int):
         self.noise = np.empty((trials, m, t), dtype=complex)
         self.sources = np.empty((trials, t), dtype=complex)
-        per_trial = max(1, m * t) * np.dtype(complex).itemsize
-        self.scratch = np.empty((2, max(1, min(trials, CHUNK_BYTES // per_trial)), m, t), dtype=complex)
+        self.scratch = np.empty(max(1, CHUNK_BYTES // 8))
 
     def draw(self, powers: PowerLevels, rng: np.random.Generator) -> None:
-        """Fill `sources` and `noise`. Stream order: all source samples s
-        (variance E), then all noise samples (variance sigma^2)."""
-        draws = self.scratch.reshape(-1).view(float)
-        complex_normal(rng, self.sources.shape, powers.signal_power, out=self.sources, scratch=draws)
-        complex_normal(rng, self.noise.shape, powers.noise_power, out=self.noise, scratch=draws)
+        """Fill `sources` and `noise`, then reduce them. Stream order: all source
+        samples s (variance E), then all noise samples (variance sigma^2). C
+        takes no conjugated copy of n: Re C = P P^T over its interleaved float
+        view P (trials, M, 2T), and Im C = Q - Q^T with Q = Im(n) Re(n)^T."""
+        complex_normal(rng, self.sources.shape, powers.signal_power, out=self.sources, scratch=self.scratch)
+        complex_normal(rng, self.noise.shape, powers.noise_power, out=self.noise, scratch=self.scratch)
+        s, p = self.sources.view(float), self.noise.view(float)
+        self.power = np.sum(s * s, axis=-1)
+        self.cross = (self.noise @ self.sources.conj()[..., np.newaxis])[..., 0]
+        q = self.noise.imag @ self.noise.real.swapaxes(-1, -2)
+        self.gram = (p @ p.swapaxes(-1, -2)).astype(complex)
+        np.subtract(q, q.swapaxes(-1, -2), out=self.gram.imag)
 
     def covariances(self, a: np.ndarray) -> np.ndarray:
-        """`sample_covariance` of the snapshots y = a*s + n of the steering vector `a`, shape (trials, M, M).
-
-        numpy's stacked matmul runs one product per trial, so the chunks give
-        the bits of one whole-stack computation.
-        """
-        trials, m, t = self.noise.shape
-        step = self.scratch.shape[1]
-        r = np.empty((trials, m, m), dtype=complex)
-        for k0 in range(0, trials, step):
-            rows = slice(k0, min(k0 + step, trials))
-            part, conj = self.scratch[:, : rows.stop - k0]
-            np.multiply(a[:, np.newaxis], self.sources[rows, np.newaxis, :], out=part)
-            part += self.noise[rows]
-            np.conjugate(part, out=conj)
-            np.matmul(part, conj.swapaxes(-1, -2), out=r[rows])
-        r /= t
+        """`sample_covariance` of the snapshots y = a*s + n of the steering
+        vector `a`, shape (trials, M, M), assembled from the last draw's sums."""
+        ab = a[:, np.newaxis] * self.cross[:, np.newaxis, :].conj()
+        r = self.power[:, np.newaxis, np.newaxis] * np.outer(a, a.conj()) + ab + ab.conj().swapaxes(-1, -2) + self.gram
+        r /= self.noise.shape[-1]
         return 0.5 * (r + r.conj().swapaxes(-1, -2))
 
 

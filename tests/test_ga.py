@@ -491,8 +491,8 @@ class TestMemory:
     with `max_generations`."""
 
     @staticmethod
-    def peak_bytes(generations):
-        params = GaParams(population_size=20, elite_count=2, max_generations=generations)
+    def peak_bytes(generations, population_size=20):
+        params = GaParams(population_size=population_size, elite_count=2, max_generations=generations)
         tracemalloc.start()
         try:
             run_ga(Scenario(region_radius=2.0, snapshot_count=4), params, np.random.default_rng(0))
@@ -504,3 +504,11 @@ class TestMemory:
         self.peak_bytes(1)  # a first run in a process also traces one-time allocations (~1 MB)
         short = self.peak_bytes(25)
         assert self.peak_bytes(200) - short < 64 * 1024
+
+    def test_a_generation_drops_the_last_ones_repeat_lookup(self, monkeypatch):
+        # per-individual peak (slope between P = 1,002 and 3,002, fitness stubbed): a second
+        # generation that built its lookup beside the first one's read about 120 B more
+        monkeypatch.setattr(ga, "fitness", lambda poses, scenario: float(poses[0, 0]))
+        self.peak_bytes(1, 1002)  # one-time allocations of a first run
+        slope = [(self.peak_bytes(g, 3002) - self.peak_bytes(g, 1002)) / 2000 for g in (1, 2)]
+        assert slope[1] <= slope[0] + 64, f"{slope[0]:.0f} B per individual at 1 generation, {slope[1]:.0f} B at 2"

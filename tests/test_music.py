@@ -326,18 +326,22 @@ class TestRmseMap:
             want = reference_rmse_map(deployment, scenario, 20, np.random.default_rng(57), powers)
             assert np.array_equal(stats.per_point_rmse, want)
 
-    def test_one_1000_trial_point_peak_memory(self):
-        # the (trials, M, T) noise block dominates a point's memory; the draws,
-        # the chunks of y = a*s + n and their conjugates reuse a scratch of a few trials
+    @pytest.mark.parametrize("codebooks", [1, 10])
+    def test_one_1000_trial_point_peak_memory(self, codebooks):
+        # the (trials, M, T) noise block dominates a point's memory; the draws pass through a
+        # small float scratch, and each deployment adds only its (trials, M, M) assembly and
+        # eigendecomposition, so the peak does not grow with the ensemble
         scenario = Scenario()
-        book = build_codebook(midpoint_baseline(scenario), scenario)
-        trials, (m, _), t = 1000, book.steering.shape, scenario.snapshot_count
+        rng = np.random.default_rng(59)
+        deployments = [midpoint_baseline(scenario)] + [random_deployment(scenario, rng) for _ in range(codebooks - 1)]
+        books = [build_codebook(deployment, scenario) for deployment in deployments]
+        trials, (m, _), t = 1000, books[0].steering.shape, scenario.snapshot_count
         block = trials * m * t * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _point_rmse([book], 100, snr_to_powers(0.0), np.random.default_rng(58), SnapshotWorkspace(trials, m, t))
+            _point_rmse(books, 100, snr_to_powers(0.0), np.random.default_rng(58), SnapshotWorkspace(trials, m, t))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

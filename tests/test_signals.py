@@ -136,6 +136,13 @@ class TestNumpyStream:
                 rng.standard_normal(out=got[i0 : i0 + piece])
             assert np.array_equal(got, want)
 
+def assert_within_rounding(got, want):
+    """`got` matches `want` to 1e-13 of its largest entry: the workspace's
+    (S, b, C) assembly rounds otherwise than the whole-stack formulas."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestSnapshots:
     def test_shape_and_determinism(self, reference_steering):
         p = snr_to_powers(0.0)
@@ -193,43 +200,55 @@ class TestSnapshots:
             generate_snapshots(np.ones((2, 2)), snr_to_powers(0.0), 4, np.random.default_rng(0))
 
 
-    @pytest.mark.parametrize("chunk_bytes", [1, 3 * 12 * 16 * 16, 1 << 30])
-    def test_trial_chunks_give_the_whole_stack_bits(self, reference_steering, monkeypatch, chunk_bytes):
-        # one trial, three trials or the whole stack per chunk of y = a·s + n and of its conjugate,
-        # against the covariances of n + a·s of one whole-stack draw
+    @pytest.mark.parametrize("chunk_bytes", [1, 3 * 12 * 16 * 8, 1 << 18])
+    def test_the_scratch_size_changes_no_draw(self, reference_steering, monkeypatch, chunk_bytes):
+        # one float, three trials' real parts or a whole half block of raw draws at a time;
+        # the covariances of n + a·s of one whole-stack draw, bit for bit from the plain formulas
         powers = PowerLevels(2.0, 0.5)
         rng = np.random.default_rng(12)
         sources = complex_normal(rng, (7, 16), 2.0)
-        want = complex_normal(rng, (7, reference_steering.size, 16), 0.5)
-        want += reference_steering[:, np.newaxis] * sources[:, np.newaxis, :]
+        noise = complex_normal(rng, (7, reference_steering.size, 16), 0.5)
+        want = noise + reference_steering[:, np.newaxis] * sources[:, np.newaxis, :]
         r = (want @ want.conj().swapaxes(-1, -2)) / 16
         want_covs = 0.5 * (r + r.conj().swapaxes(-1, -2))
         monkeypatch.setattr(signals, "CHUNK_BYTES", chunk_bytes)
         work = SnapshotWorkspace(7, reference_steering.size, 16)
-        assert work.scratch.shape[:2] == (2, {1: 1, 3 * 12 * 16 * 16: 3, 1 << 30: 7}[chunk_bytes])
+        assert work.scratch.shape == (max(1, chunk_bytes // 8),)
         work.draw(powers, np.random.default_rng(12))
-        assert np.array_equal(work.covariances(reference_steering), want_covs)
+        assert np.array_equal(work.sources, sources) and np.array_equal(work.noise, noise)
+        assert_within_rounding(work.covariances(reference_steering), want_covs)
         assert np.array_equal(sample_covariance(want), want_covs)
         assert np.array_equal(generate_snapshots(reference_steering, powers, 16, np.random.default_rng(12), trials=7), want)
 
     def test_a_reused_workspace_keeps_nothing_from_the_last_draw(self, reference_steering):
         work = SnapshotWorkspace(3, reference_steering.size, 16)
+        work.draw(snr_to_powers(10.0), np.random.default_rng(99))
         for powers in (snr_to_powers(0.0), PowerLevels(1.0, 0.0), PowerLevels(0.0, 1.0)):
-            for buffer in (work.noise, work.sources, work.scratch):
+            for buffer in (work.noise, work.sources, work.scratch, work.power, work.cross, work.gram):
                 buffer.fill(np.nan)
-            want = generate_snapshots(reference_steering, powers, 16, np.random.default_rng(13), trials=3)
             work.draw(powers, np.random.default_rng(13))
-            assert np.array_equal(work.covariances(reference_steering), sample_covariance(want))
+            fresh = SnapshotWorkspace(3, reference_steering.size, 16)
+            fresh.draw(powers, np.random.default_rng(13))
+            got = work.covariances(reference_steering)
+            assert np.array_equal(got, fresh.covariances(reference_steering))
+            assert np.array_equal(got, got.conj().swapaxes(-1, -2))
+            want = generate_snapshots(reference_steering, powers, 16, np.random.default_rng(13), trials=3)
+            assert_within_rounding(got, sample_covariance(want))
 
     def test_one_draw_serves_every_steering_vector(self, reference_steering):
-        # y = a*s + n from the same s and n, in any order of the vectors, as each vector's own draw
+        # the same s and n, in any order of the vectors, as each vector's own draw
         others = [reference_steering[::-1].copy(), np.roll(reference_steering, 5), reference_steering]
         powers = snr_to_powers(-3.0)
         work = SnapshotWorkspace(5, reference_steering.size, 16)
         work.draw(powers, np.random.default_rng(14))
         for a in others:
+            fresh = SnapshotWorkspace(5, reference_steering.size, 16)
+            fresh.draw(powers, np.random.default_rng(14))
+            got = work.covariances(a)
+            assert np.array_equal(got, fresh.covariances(a))
             want = generate_snapshots(a, powers, 16, np.random.default_rng(14), trials=5)
-            assert np.array_equal(work.covariances(a), sample_covariance(want))
+            assert_within_rounding(got, sample_covariance(want))
+
 
 class TestSampleCovariance:
     def test_single_snapshot_outer_product_exact(self, reference_steering):
