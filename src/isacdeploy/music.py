@@ -13,8 +13,8 @@ calls it on one covariance, and `rmse_maps` on each grid point's stack for
 every deployment of an ensemble. Each worker thread draws its share of the
 grid points into one `signals.SnapshotWorkspace`; a point's source and noise
 blocks are drawn and reduced once for every deployment, and only the (M, M)
-covariance assembly and its eigendecomposition are per deployment. `rmse_map`
-is the map of one deployment.
+covariance assembly, its eigenvalues and one solve are per deployment.
+`rmse_map` is the map of one deployment.
 
 Monte Carlo RMSE maps draw per-grid-point child streams from the caller's
 generator, so identically seeded generators give common random numbers
@@ -48,8 +48,7 @@ class LocalizationStats:
             raise ValueError("per_point_rmse must be a non-empty 1-D array")
         if not np.all(rmse >= 0.0):
             raise ValueError("RMSE entries must be >= 0")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
+        object.__setattr__(self, "trials_per_point", integer_at_least("trials_per_point", self.trials_per_point, 1))
         object.__setattr__(self, "per_point_rmse", rmse)
 
     @property
@@ -60,10 +59,19 @@ class LocalizationStats:
 def _localize_indices(covs, steering: np.ndarray) -> np.ndarray:
     """Grid index with the largest |u1^H a|^2 for each covariance in covs (..., M, M).
 
-    u1 is the eigenvector of the largest eigenvalue; ties go to the lowest index.
+    u1, the eigenvector of the top eigenvalue l1, is one inverse-iteration step (Ipsen
+    1997): x = (R - (l1 + 2^-44) I)^-1 e_j, with R scaled exactly by a power of two to a
+    spectral radius below 1 and j the largest diagonal entry of the inverse, where
+    |u1[j]|^2 is about 1/M or more (a tie, as at R = 0, takes the last j, as `eigh` does).
+    x is not normalized, as the argmax ignores its scale. Ties go to the lowest index.
     """
-    _, vectors = np.linalg.eigh(covs)  # ascending eigenvalues
-    inner = vectors[..., -1].conj() @ steering
+    m = covs.shape[-1]
+    values = np.linalg.eigvalsh(covs)  # ascending
+    scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(values), axis=-1))[1])[..., np.newaxis, np.newaxis]
+    inverse = np.linalg.inv(covs * scale - (values[..., -1:, np.newaxis] * scale + 2.0**-44) * np.eye(m))
+    j = m - 1 - np.argmax(np.abs(inverse.diagonal(axis1=-2, axis2=-1).real)[..., ::-1], axis=-1)
+    x = np.take_along_axis(inverse, j[..., np.newaxis, np.newaxis], axis=-1)[..., 0]
+    inner = x.conj() @ steering
     return np.argmax(inner.real**2 + inner.imag**2, axis=-1)
 
 
@@ -81,7 +89,8 @@ def localize(cov, codebook: GridCodebook) -> np.ndarray:
         raise ValueError(
             f"covariance dimension {cov.shape[0]} does not match codebook dimension {codebook.steering.shape[0]}"
         )
-    return codebook.grid[_localize_indices(cov, codebook.steering)].copy()
+    # exactly Hermitian, so eigvalsh (one triangle) and the solve (both) see one matrix; no sum overflows
+    return codebook.grid[_localize_indices(0.5 * cov + 0.5 * cov.conj().T, codebook.steering)].copy()
 
 
 def _point_rmse(codebooks: list[GridCodebook], index: int, powers: PowerLevels, rng, work: SnapshotWorkspace):

@@ -8,10 +8,10 @@ E * a a^H + sigma^2 * I.
 
 `generate_snapshots` and `sample_covariance` are the plain whole-stack
 formulas. `SnapshotWorkspace` is the Monte Carlo path (`music.rmse_maps` keeps
-one per worker thread): it draws a stack's source and noise blocks once and
-reduces them once to per-trial sums, from which each steering vector's
-covariances are an (M, M) assembly per trial, equal to the plain formulas up
-to rounding.
+one per worker thread): it draws a stack's source and noise blocks once, as
+contiguous float halves, and reduces them once to per-trial sums with real
+matrix products; each steering vector's covariances are then an (M, M)
+assembly per trial, equal to the plain formulas up to rounding.
 """
 
 from __future__ import annotations
@@ -56,72 +56,63 @@ def snr_to_powers(snr_db: float) -> PowerLevels:
     return PowerLevels(10.0 ** (float(snr_db) / 10.0), 1.0)
 
 
-CHUNK_BYTES = 1 << 18
-"""Size of a `SnapshotWorkspace`'s float scratch, which the raw normal draws
-pass through. It changes no result; a small one keeps a thread's memory near
-one noise block."""
-
-
-def complex_normal(rng: np.random.Generator, shape, variance: float, out=None, scratch=None) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape, variance: float, out=None) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples of the given total variance.
 
     Real and imaginary parts are independent N(0, variance/2); all real parts
     are drawn before all imaginary parts, the stream layout of one (2, *shape)
-    standard-normal call. The raw draws pass through `scratch` (a contiguous
-    float array of any length >= 1) a piece at a time and are scaled straight
-    into `out` (a C-contiguous complex array of `shape`); either is allocated
-    when not given, so a caller that reuses both allocates nothing. Zero
-    variance fills zeros without consuming draws.
+    standard-normal call. With `out`, a C-contiguous float array of shape
+    (2, *shape), the real parts go to out[0] and the imaginary parts to out[1],
+    each drawn straight into place and scaled there, and `out` is returned;
+    without it, a new complex array of `shape`. Zero variance fills zeros
+    without consuming draws.
     """
     real_in("variance", variance, 0.0)
-    shape = tuple(shape)
-    if out is None:
-        out = np.empty(shape, dtype=complex)
-    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
+    halves = (2,) + tuple(shape)
+    parts = np.empty(halves) if out is None else out
+    if parts.shape != halves or parts.dtype != float or not parts.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float array of shape {halves}")
     if variance == 0.0:
-        out.fill(0.0)
+        parts.fill(0.0)
+    else:
+        for half in parts.reshape(2, parts.size // 2):
+            rng.standard_normal(out=half)
+            half *= np.sqrt(variance / 2.0)
+    if out is not None:
         return out
-    flat = out.reshape(-1)
-    if scratch is None:
-        scratch = np.empty(max(1, flat.size))
-    scale = np.sqrt(variance / 2.0)
-    for half in (flat.real, flat.imag):
-        for i0 in range(0, flat.size, scratch.size):
-            draws = scratch[: min(scratch.size, flat.size - i0)]
-            rng.standard_normal(out=draws)
-            np.multiply(draws, scale, out=half[i0 : i0 + draws.size])
-    return out
+    z = np.empty(halves[1:], dtype=complex)
+    z.real, z.imag = parts
+    return z
 
 
 class SnapshotWorkspace:
     """Buffers for one (trials, M, T) snapshot stack, reused draw after draw.
 
     `sources` holds the (trials, T) source block s and `noise` the noise block
-    n; the raw normal draws pass through the float `scratch`. `draw` refills
-    them and replaces the per-trial sums `power` S = sum_t |s_t|^2,
-    `cross` b = sum_t n_t s_t^* and `gram` C = sum_t n_t n_t^H, so nothing
-    carries over from one draw to the next. Then
-    T * R(a) = S*a a^H + a b^H + b a^H + C for every steering vector a.
+    n, each as `complex_normal`'s contiguous float halves: real parts in [0],
+    imaginary parts in [1]. `draw` refills them and replaces the per-trial sums
+    `power` S = sum_t |s_t|^2, `cross` b = sum_t n_t s_t^* and
+    `gram` C = sum_t n_t n_t^H, so nothing carries over from one draw to the
+    next. Then T * R(a) = S*a a^H + a b^H + b a^H + C for every steering vector a.
     """
 
     def __init__(self, trials: int, m: int, t: int):
-        self.noise = np.empty((trials, m, t), dtype=complex)
-        self.sources = np.empty((trials, t), dtype=complex)
-        self.scratch = np.empty(max(1, CHUNK_BYTES // 8))
+        self.sources = np.empty((2, trials, t))
+        self.noise = np.empty((2, trials, m, t))
 
     def draw(self, powers: PowerLevels, rng: np.random.Generator) -> None:
         """Fill `sources` and `noise`, then reduce them. Stream order: all source
-        samples s (variance E), then all noise samples (variance sigma^2). C
-        takes no conjugated copy of n: Re C = P P^T over its interleaved float
-        view P (trials, M, 2T), and Im C = Q - Q^T with Q = Im(n) Re(n)^T."""
-        complex_normal(rng, self.sources.shape, powers.signal_power, out=self.sources, scratch=self.scratch)
-        complex_normal(rng, self.noise.shape, powers.noise_power, out=self.noise, scratch=self.scratch)
-        s, p = self.sources.view(float), self.noise.view(float)
-        self.power = np.sum(s * s, axis=-1)
-        self.cross = (self.noise @ self.sources.conj()[..., np.newaxis])[..., 0]
-        q = self.noise.imag @ self.noise.real.swapaxes(-1, -2)
-        self.gram = (p @ p.swapaxes(-1, -2)).astype(complex)
+        samples s (variance E), then all noise samples (variance sigma^2). Every
+        sum is a product of contiguous real blocks: Re C = R R^T + I I^T and
+        Im C = Q - Q^T with Q = I R^T over n = R + iI, and b from four
+        matrix-vector products."""
+        sr, si = complex_normal(rng, self.sources.shape[1:], powers.signal_power, out=self.sources)
+        nr, ni = complex_normal(rng, self.noise.shape[1:], powers.noise_power, out=self.noise)
+        self.power = np.sum(sr * sr, axis=-1) + np.sum(si * si, axis=-1)
+        sr, si = sr[..., np.newaxis], si[..., np.newaxis]
+        self.cross = (nr @ sr + ni @ si + 1j * (ni @ sr - nr @ si))[..., 0]
+        q = ni @ nr.swapaxes(-1, -2)
+        self.gram = (nr @ nr.swapaxes(-1, -2) + ni @ ni.swapaxes(-1, -2)).astype(complex)
         np.subtract(q, q.swapaxes(-1, -2), out=self.gram.imag)
 
     def covariances(self, a: np.ndarray) -> np.ndarray:

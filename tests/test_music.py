@@ -41,6 +41,13 @@ def reference_complex_normal(rng, shape, variance):
     return np.sqrt(variance / 2.0) * (parts[0] + 1j * parts[1])
 
 
+def eigh_indices(covs, steering):
+    """The full-eigendecomposition kernel: argmax of |u1^H a|^2 with u1 the last `eigh` vector."""
+    _, vectors = np.linalg.eigh(covs)
+    inner = vectors[..., -1].conj() @ steering
+    return np.argmax(inner.real**2 + inner.imag**2, axis=-1)
+
+
 def projected_power(covs, steering):
     """Power of every steering column in the span of the M - 1 smallest eigenvectors, (..., n)."""
     _, vectors = np.linalg.eigh(covs)
@@ -224,6 +231,109 @@ class TestLocalize:
                     assert np.array_equal(_localize_indices(covs, book.steering), want)
 
 
+class TestInverseIteration:
+    """`_localize_indices` finds u1 by one shifted solve; it must pick the index the
+    full `eigh` kernel picks on every kind of covariance `localize` accepts."""
+
+    def test_noiseless_rank_one_stacks(self, baseline_book):
+        rng = np.random.default_rng(70)
+        for true_index in (0, 13, 30, 48):
+            a = baseline_book.steering[:, true_index]
+            for powers in (PowerLevels(1.0, 0.0), PowerLevels(1e-300, 0.0), PowerLevels(1e280, 0.0)):
+                covs = sample_covariance(generate_snapshots(a, powers, 16, rng, trials=10))
+                got = _localize_indices(covs, baseline_book.steering)
+                assert np.array_equal(got, eigh_indices(covs, baseline_book.steering))
+                assert np.all(got == true_index)
+
+    def test_population_covariances_with_a_repeated_noise_eigenvalue(self, baseline_book):
+        steering = baseline_book.steering
+        for signal_power in (0.01, 1.0, 100.0):
+            covs = np.array([population_covariance(a, signal_power, 1.0) for a in steering.T])
+            got = _localize_indices(covs, steering)
+            assert np.array_equal(got, eigh_indices(covs, steering))
+            assert np.array_equal(got, np.arange(steering.shape[1]))
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 20.0])
+    def test_sample_stacks(self, small_scenario, snr_db):
+        rng = np.random.default_rng(71)
+        for deployment in (midpoint_baseline(small_scenario), random_deployment(small_scenario, rng)):
+            book = build_codebook(deployment, small_scenario)
+            for true_index in rng.choice(len(book.grid), 6, replace=False):
+                batch = generate_snapshots(book.steering[:, true_index], snr_to_powers(snr_db), 50, rng, trials=50)
+                covs = sample_covariance(batch)
+                assert np.array_equal(_localize_indices(covs, book.steering), eigh_indices(covs, book.steering))
+
+    def test_a_repeated_top_eigenvalue_takes_eighs_vector(self, baseline_book):
+        # R = 0 (both powers zero) and R = cI have no principal direction; both kernels take e_M
+        # (scaled by 2^44 here, exactly, so the scores round alike: they tie up to rounding)
+        steering = baseline_book.steering
+        covs = np.array([np.zeros((12, 12)), 3.0 * np.eye(12)], dtype=complex)
+        assert np.array_equal(_localize_indices(covs, steering), eigh_indices(covs, steering))
+        assert np.array_equal(localize(np.zeros((12, 12)), baseline_book), baseline_book.grid[eigh_indices(covs[0], steering)])
+
+    def test_an_all_zero_stack_is_a_map(self, small_scenario):
+        stats = rmse_map(midpoint_baseline(small_scenario), small_scenario, 2, np.random.default_rng(72), powers=PowerLevels(0.0, 0.0))
+        assert np.all(np.isfinite(stats.per_point_rmse))
+
+    def test_a_negative_definite_matrix(self, baseline_book):
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            w = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+            cov = -(w @ w.conj().T) - np.eye(12)
+            cov = 0.5 * (cov + cov.conj().T)
+            assert np.all(np.linalg.eigvalsh(cov) < 0.0)
+            want = baseline_book.grid[eigh_indices(cov, baseline_book.steering)]
+            assert np.array_equal(localize(cov, baseline_book), want)
+
+    def test_u1_orthogonal_to_the_ones_vector_and_to_the_largest_diagonal(self, baseline_book):
+        # u1 = (e0 - e1)/sqrt(2): a start at the all-ones vector, or at the coordinate of
+        # R's largest diagonal entry (e2, eigenvalue 1.9), has no u1 component
+        u1 = np.zeros(12, dtype=complex)
+        u1[[0, 1]] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
+        e2 = np.eye(12, dtype=complex)[2]
+        cov = 2.0 * np.outer(u1, u1.conj()) + 1.9 * np.outer(e2, e2) + 0.01 * np.eye(12)
+        assert np.sum(u1) == 0.0 and np.argmax(np.diag(cov).real) == 2
+        steering = np.column_stack([e2, u1, (e2 + u1) / np.sqrt(2.0), baseline_book.steering[:, :5]])
+        assert _localize_indices(cov, steering) == eigh_indices(cov, steering) == 1
+        # the same spectrum rotated onto the reference steering
+        q, _ = np.linalg.qr(baseline_book.steering[:, [4, 9, 22]])
+        rotated = q @ cov[:3, :3] @ q.conj().T + 0.01 * np.eye(12)
+        assert np.array_equal(_localize_indices(rotated, baseline_book.steering), eigh_indices(rotated, baseline_book.steering))
+
+    def test_any_scale_gives_the_same_index(self, baseline_book):
+        cov = population_covariance(baseline_book.steering[:, 21], 3.0, 1.0)
+        covs = np.array([cov * 2.0**k for k in (-1000, -500, -1, 0, 1, 500, 1000)])
+        assert np.all(_localize_indices(covs, baseline_book.steering) == 21)
+
+    def test_localize_passes_an_exactly_hermitian_matrix(self, baseline_book, monkeypatch):
+        # Hermitian only to within the 1e-10 tolerance: eigvalsh reads one triangle and the
+        # solve reads both, so the kernel must get the Hermitian average
+        seen = []
+        kernel = music._localize_indices
+        monkeypatch.setattr(music, "_localize_indices", lambda covs, steering: seen.append(covs) or kernel(covs, steering))
+        rng = np.random.default_rng(74)
+        cov = population_covariance(baseline_book.steering[:, 8], 1.0, 1.0)
+        perturbed = cov + 1e-11 * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+        assert not np.array_equal(perturbed, perturbed.conj().T)
+        estimate = localize(perturbed, baseline_book)
+        assert np.array_equal(seen[0], seen[0].conj().T)
+        assert np.array_equal(seen[0], 0.5 * (perturbed + perturbed.conj().T))
+        assert np.array_equal(estimate, baseline_book.grid[8])
+        # entries above half the largest float: the average must not overflow
+        huge = np.diag(np.full(12, 1.7e308)).astype(complex)
+        huge[3, 3] = 1e308
+        assert np.array_equal(localize(huge, baseline_book), baseline_book.grid[eigh_indices(huge, baseline_book.steering)])
+
+    def test_no_map_calls_eigh(self, small_scenario, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the Monte Carlo must not run a full eigendecomposition")
+
+        want = rmse_map(midpoint_baseline(small_scenario), small_scenario, 3, np.random.default_rng(75))
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        got = rmse_map(midpoint_baseline(small_scenario), small_scenario, 3, np.random.default_rng(75))
+        assert np.array_equal(got.per_point_rmse, want.per_point_rmse)
+
+
 # ---------------------------------------------------------------- rmse map
 
 
@@ -284,7 +394,7 @@ class TestRmseMap:
     def test_a_stale_workspace_gives_the_fresh_value(self, baseline_book, small_scenario, powers):
         m, t = baseline_book.steering.shape[0], small_scenario.snapshot_count
         stale = SnapshotWorkspace(4, m, t)
-        for buffer in (stale.noise, stale.sources, stale.scratch):
+        for buffer in (stale.noise, stale.sources):
             buffer.fill(np.nan)
         books = [baseline_book, reversed_book(baseline_book)]
         for index in (0, 17, 30):
@@ -328,9 +438,9 @@ class TestRmseMap:
 
     @pytest.mark.parametrize("codebooks", [1, 10])
     def test_one_1000_trial_point_peak_memory(self, codebooks):
-        # the (trials, M, T) noise block dominates a point's memory; the draws pass through a
-        # small float scratch, and each deployment adds only its (trials, M, M) assembly and
-        # eigendecomposition, so the peak does not grow with the ensemble
+        # the (trials, M, T) noise block dominates a point's memory; the draws go straight into
+        # its float halves, and each deployment adds only its (trials, M, M) assembly,
+        # eigenvalues and inverse, so the peak does not grow with the ensemble
         scenario = Scenario()
         rng = np.random.default_rng(59)
         deployments = [midpoint_baseline(scenario)] + [random_deployment(scenario, rng) for _ in range(codebooks - 1)]

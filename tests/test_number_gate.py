@@ -14,7 +14,7 @@ from isacdeploy.config import ExperimentSettings, parse_config, parse_deployment
 from isacdeploy.correlation import frobenius_separability, weight_slabs, weighted_correlation
 from isacdeploy.ga import GaParams, polynomial_mutation, sbx_crossover, tournament_select
 from isacdeploy.geometry import Scenario, coverage_grid, midpoint_baseline, steering_matrix, wavelength_of
-from isacdeploy.music import rmse_map
+from isacdeploy.music import LocalizationStats, rmse_map
 from isacdeploy.signals import PowerLevels, complex_normal, generate_snapshots, snr_to_powers
 
 SMALL = Scenario(region_radius=2.0, snapshot_count=4)
@@ -79,6 +79,7 @@ COUNT = [
     ("random_deployment_count", lambda v: ExperimentSettings(kind="montecarlo", random_deployment_count=v)),
     ("trials_per_point", lambda v: ExperimentSettings(kind="montecarlo", trials_per_point=v)),
     ("node_counts[0]", lambda v: ExperimentSettings(kind="node-sweep", node_counts=(v,))),
+    ("trials_per_point", lambda v: LocalizationStats(np.zeros(2), v)),
 ]
 BAD = {"True": True, "'5'": "5", "None": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400}
 # None selects a default here, not a bad value
@@ -108,6 +109,8 @@ def test_good_values_pass_the_gate_unchanged():
     assert generate_snapshots(UNIT, PowerLevels(1, 0), 4.0, _rng(), trials=2.0).shape == (2, 2, 4)
     assert tournament_select([0.5, 0.25], 3.0, _rng()) in (0, 1)
     assert rmse_map(midpoint_baseline(SMALL), SMALL, 1.0, _rng(), threads=1.0).trials_per_point == 1
+    stats = LocalizationStats(np.zeros(2), 3.0)
+    assert type(stats.trials_per_point) is int and stats.trials_per_point == 3
 
 
 def test_an_integer_beyond_the_float_range_is_reported_by_its_digit_count():

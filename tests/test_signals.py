@@ -7,7 +7,6 @@ so every run sees the same draws; algebraic identities are checked exactly.
 import numpy as np
 import pytest
 
-from isacdeploy import signals
 from isacdeploy.geometry import Scenario, deployment_layout, midpoint_baseline, steering_vector
 from isacdeploy.signals import (
     PowerLevels,
@@ -89,26 +88,39 @@ class TestComplexNormal:
 
 
     def test_reused_buffers_match_a_fresh_call(self):
-        # a NaN-filled out and a scratch shorter than one half draw the same samples
-        want = complex_normal(np.random.default_rng(6), (5, 12, 40), 2.0)
-        for size in (1, 7, 1200, 2400, 10_000):
-            out = np.full((5, 12, 40), np.nan, dtype=complex)
-            got = complex_normal(np.random.default_rng(6), (5, 12, 40), 2.0, out=out, scratch=np.full(size, np.nan))
-            assert got is out
-            assert np.array_equal(got, want)
+        # a NaN-filled split output holds the complex draw's real and imaginary parts bit for bit,
+        # which are one stacked standard-normal draw, scaled
+        for shape in ((), (1,), (7,), (5, 12, 40), (3, 1, 200), (0, 4)):
+            want = complex_normal(np.random.default_rng(6), shape, 3.0)
+            parts = np.sqrt(1.5) * np.random.default_rng(6).standard_normal((2,) + shape)
+            out = np.full((2,) + shape, np.nan)
+            for _ in range(2):
+                got = complex_normal(np.random.default_rng(6), shape, 3.0, out=out)
+                assert got is out and np.array_equal(got, parts)
+                assert np.array_equal(got[0], want.real) and np.array_equal(got[1], want.imag)
 
     def test_zero_variance_fills_the_output_and_draws_nothing(self):
-        rng = np.random.default_rng(11)
-        out = np.full((3, 4), np.nan, dtype=complex)
-        assert complex_normal(rng, (3, 4), 0.0, out=out) is out
-        assert np.array_equal(out, np.zeros((3, 4), dtype=complex))
-        assert rng.standard_normal() == np.random.default_rng(11).standard_normal()
+        for out in (np.full((2, 3, 4), np.nan), None):
+            rng = np.random.default_rng(11)
+            got = complex_normal(rng, (3, 4), 0.0, out=out)
+            assert got is out if out is not None else got.shape == (3, 4)
+            assert np.array_equal(got, np.zeros(got.shape)) and not np.any(np.signbit(got.view(float)))
+            assert rng.standard_normal() == np.random.default_rng(11).standard_normal()
 
     def test_rejects_an_output_it_cannot_fill(self):
         rng = np.random.default_rng(0)
-        for out in (np.empty((4, 3), dtype=complex), np.empty((3, 4)), np.empty((4, 3), dtype=complex).T):
-            with pytest.raises(ValueError, match="C-contiguous complex array of shape"):
+        bad = (
+            np.empty((3, 4), dtype=complex),  # the complex array of `shape`
+            np.empty((2, 4, 3)),
+            np.empty((2, 3, 4), dtype=np.float32),
+            np.empty((2, 3, 4), dtype=int),
+            np.empty((4, 3, 2)).T,  # F-contiguous
+            np.empty((2, 3, 8))[..., ::2],  # strided
+        )
+        for out in bad:
+            with pytest.raises(ValueError, match=r"C-contiguous float array of shape \(2, 3, 4\)"):
                 complex_normal(rng, (3, 4), 1.0, out=out)
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
 
 
 class TestNumpyStream:
@@ -200,31 +212,31 @@ class TestSnapshots:
             generate_snapshots(np.ones((2, 2)), snr_to_powers(0.0), 4, np.random.default_rng(0))
 
 
-    @pytest.mark.parametrize("chunk_bytes", [1, 3 * 12 * 16 * 8, 1 << 18])
-    def test_the_scratch_size_changes_no_draw(self, reference_steering, monkeypatch, chunk_bytes):
-        # one float, three trials' real parts or a whole half block of raw draws at a time;
-        # the covariances of n + a·s of one whole-stack draw, bit for bit from the plain formulas
-        powers = PowerLevels(2.0, 0.5)
+    @pytest.mark.parametrize("trials, t", [(7, 16), (1, 1), (3, 200)])
+    def test_the_split_draws_are_the_whole_stack_draws(self, reference_steering, trials, t):
+        # the workspace's float halves hold the whole-stack complex draws bit for bit;
+        # the covariances of n + a·s from the plain formulas match its assembly to rounding
+        powers, m = PowerLevels(2.0, 0.5), reference_steering.size
         rng = np.random.default_rng(12)
-        sources = complex_normal(rng, (7, 16), 2.0)
-        noise = complex_normal(rng, (7, reference_steering.size, 16), 0.5)
+        sources = complex_normal(rng, (trials, t), 2.0)
+        noise = complex_normal(rng, (trials, m, t), 0.5)
         want = noise + reference_steering[:, np.newaxis] * sources[:, np.newaxis, :]
-        r = (want @ want.conj().swapaxes(-1, -2)) / 16
+        r = (want @ want.conj().swapaxes(-1, -2)) / t
         want_covs = 0.5 * (r + r.conj().swapaxes(-1, -2))
-        monkeypatch.setattr(signals, "CHUNK_BYTES", chunk_bytes)
-        work = SnapshotWorkspace(7, reference_steering.size, 16)
-        assert work.scratch.shape == (max(1, chunk_bytes // 8),)
+        work = SnapshotWorkspace(trials, m, t)
+        assert work.sources.shape == (2, trials, t) and work.noise.shape == (2, trials, m, t)
         work.draw(powers, np.random.default_rng(12))
-        assert np.array_equal(work.sources, sources) and np.array_equal(work.noise, noise)
+        assert np.array_equal(work.sources[0], sources.real) and np.array_equal(work.sources[1], sources.imag)
+        assert np.array_equal(work.noise[0], noise.real) and np.array_equal(work.noise[1], noise.imag)
         assert_within_rounding(work.covariances(reference_steering), want_covs)
         assert np.array_equal(sample_covariance(want), want_covs)
-        assert np.array_equal(generate_snapshots(reference_steering, powers, 16, np.random.default_rng(12), trials=7), want)
+        assert np.array_equal(generate_snapshots(reference_steering, powers, t, np.random.default_rng(12), trials=trials), want)
 
     def test_a_reused_workspace_keeps_nothing_from_the_last_draw(self, reference_steering):
         work = SnapshotWorkspace(3, reference_steering.size, 16)
         work.draw(snr_to_powers(10.0), np.random.default_rng(99))
         for powers in (snr_to_powers(0.0), PowerLevels(1.0, 0.0), PowerLevels(0.0, 1.0)):
-            for buffer in (work.noise, work.sources, work.scratch, work.power, work.cross, work.gram):
+            for buffer in (work.noise, work.sources, work.power, work.cross, work.gram):
                 buffer.fill(np.nan)
             work.draw(powers, np.random.default_rng(13))
             fresh = SnapshotWorkspace(3, reference_steering.size, 16)
