@@ -10,10 +10,15 @@ Also provides the covariance-separability identity (the Frobenius distance
 between the rank-one covariance contributions of two unit steering vectors)
 and the overlap/residual decomposition that underlies the localization error
 analysis.
+
+The worst-pair scan writes its blocks into one pair of flat buffers per thread
+(BLOCK_ROWS * n complex and float), built on the thread's first call and kept
+until the grid size n changes, so repeated calls fault in no fresh pages.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,9 +29,12 @@ from .validation import real_in
 
 BLOCK_ROWS = 64
 """Grid rows per block of the weight build and the worst-pair scan; 64 was
-fastest at both the 1 m (n = 241) and the 0.25 m (n = 3761) reference grids."""
+fastest at both the 1 m (n = 241) and the 0.25 m (n = 3761) reference grids.
+Each thread that scans keeps 24 * BLOCK_ROWS * n bytes of block buffers: 0.37 MB
+at 1 m, 5.8 MB at 0.25 m and 15.4 MB at `geometry.MAX_GRID_POINTS`."""
 
 _ON_OR_BELOW_DIAGONAL = np.tri(BLOCK_ROWS, dtype=bool)
+_scan_buffers = threading.local()
 
 
 class UndefinedCorrelationError(ValueError):
@@ -141,17 +149,23 @@ def max_weighted_correlation(codebook: GridCodebook) -> CorrelationReport:
     deterministic for a given codebook. The strict upper triangle is scored
     `BLOCK_ROWS` rows at a time, so memory stays O(BLOCK_ROWS * n): each block
     keeps its row-major first maximum, and a later block replaces the running
-    best only when strictly larger.
+    best only when strictly larger. A warm call allocates little beyond
+    `steering.conj()`: its blocks go into this thread's scan buffers.
     """
     steering = codebook.steering
     n = steering.shape[1]
     if n < 2:
         raise ValueError(f"need at least two grid points to form a pair, got {n}")
+    buffers = getattr(_scan_buffers, "pair", None)
+    if buffers is None or buffers[1].size != BLOCK_ROWS * n:
+        buffers = _scan_buffers.pair = (np.empty(BLOCK_ROWS * n, complex), np.empty(BLOCK_ROWS * n))
+    products, magnitudes = buffers
     conj_rows = steering.conj().T
     best_value, best_pair = -1.0, (0, 1)
     for i0, slab in zip(range(0, n - 1, BLOCK_ROWS), codebook.weight_slabs, strict=True):
         i1 = i0 + len(slab)
-        values = np.abs(conj_rows[i0:i1] @ steering[:, i0:])
+        block = np.matmul(conj_rows[i0:i1], steering[:, i0:], out=products[: slab.size].reshape(slab.shape))
+        values = np.abs(block, out=magnitudes[: slab.size].reshape(slab.shape))
         values *= slab
         # local column c is grid point i0 + c: mask the pairs with j <= i
         values[:, : i1 - i0][_ON_OR_BELOW_DIAGONAL[: i1 - i0, : i1 - i0]] = -1.0

@@ -122,12 +122,15 @@ def rmse_maps(
     order, drawn once for all deployments (which must have equal element
     counts), so each map is reproducible, independent of `threads` and of the
     other deployments. The pool has at most one worker per CPU core, however
-    large `threads` is. `powers` overrides the scenario SNR (e.g. a zero noise power).
+    large `threads` is. `powers` overrides the scenario SNR (e.g. a zero noise
+    power); a zero signal power, a target that sends nothing, is refused.
     """
     trials = integer_at_least("trials", trials, 1)
     threads = integer_at_least("threads", threads, 1)
     if powers is None:
         powers = snr_to_powers(scenario.snr_db)
+    if powers.signal_power == 0.0:
+        raise ValueError(f"powers.signal_power must be > 0 (a target that sends nothing), got {powers!r}")
     codebooks = [build_codebook(deployment, scenario) for deployment in deployments]
     if not codebooks:
         return []

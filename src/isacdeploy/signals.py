@@ -27,6 +27,9 @@ MAX_SNR_DB = 10.0 * float(np.log10(np.finfo(float).max / 2.0**64))
 2^64 below the largest float, so the snapshot products and their sums over
 snapshots in `sample_covariance` stay finite."""
 
+MIN_SNR_DB = 10.0 * float(np.log10(np.finfo(float).smallest_subnormal) - np.log10(2.0))
+"""Lowest accepted SNR, about -3,236.1 dB: below it the source power 10^(snr/10) rounds to 0."""
+
 
 @dataclass(frozen=True)
 class PowerLevels:
@@ -53,7 +56,12 @@ def snr_to_powers(snr_db: float) -> PowerLevels:
             f"snr_db must be at most {MAX_SNR_DB:.1f} dB (a larger power overflows the sample covariance), "
             f"got {snr_db!r}"
         )
-    return PowerLevels(10.0 ** (float(snr_db) / 10.0), 1.0)
+    signal_power = 10.0 ** (float(snr_db) / 10.0)
+    if signal_power == 0.0:
+        raise ValueError(
+            f"snr_db must be above about {MIN_SNR_DB:.1f} dB (a lower power underflows to 0), got {snr_db!r}"
+        )
+    return PowerLevels(signal_power, 1.0)
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float, out=None) -> np.ndarray:

@@ -316,6 +316,15 @@ class TestBadInputs:
         assert main(["optimize", "--config", str(path)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_a_level_that_sends_nothing_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": {"snr_db": -4000}}))
+        assert main(["optimize", "--config", str(path)]) == 2
+        assert "scenario.snr_db must be above about -3236.1 dB" in capsys.readouterr().err
+        path.write_text(json.dumps({"experiment": {"kind": "snr-sweep", "snr_values_db": [0, -4000]}}))
+        assert main(["snr-sweep", "--config", str(path)]) == 2
+        assert "experiment.snr_values_db[1]: snr_db must be above about -3236.1 dB" in capsys.readouterr().err
+
     def test_kind_mismatch_exits_two(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"experiment": {"kind": "optimize"}}))

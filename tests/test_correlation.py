@@ -6,12 +6,15 @@ against explicit outer-product matrices.
 """
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from isacdeploy import correlation
 from isacdeploy.correlation import (
     BLOCK_ROWS,
     CorrelationReport,
@@ -361,6 +364,76 @@ class TestFineGridMemory:
         assert packed <= retained <= packed + 2**16
         assert weights_peak <= packed + 4 * BLOCK_ROWS * n * 8
         assert metric_peak <= 32 * 2**20
+
+
+class TestScanBuffers:
+    """Each thread scans into one pair of block buffers, reused from call to call."""
+
+    @staticmethod
+    def fresh_thread_report(book):
+        # a new thread builds its own buffers, so nothing an earlier call left can reach the scan
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(max_weighted_correlation, book).result()
+
+    @staticmethod
+    def books(resolution, seed, count):
+        scenario = Scenario(grid_resolution=resolution)
+        rng = np.random.default_rng(seed)
+        return [build_codebook(random_deployment(scenario, rng), scenario) for _ in range(count)]
+
+    def test_interleaved_grid_sizes_in_one_thread(self):
+        scenario = Scenario()
+        pair_grid = np.array([[0.0, 0.0], [2.0, 1.0]])
+        layout = deployment_layout(random_deployment(scenario, np.random.default_rng(18)), scenario)
+        pair_book = GridCodebook(
+            grid=pair_grid,
+            steering=steering_matrix(layout, pair_grid, scenario.wavelength),
+            weight_slabs=weight_slabs(pair_grid, scenario.alpha),
+        )
+        coarse = self.books(1.0, 19, 3)
+        (fine,) = self.books(0.25, 20, 1)
+        sequence = [coarse[0], fine, coarse[1], pair_book, coarse[2]]
+        assert [len(book.grid) for book in sequence] == [241, 3761, 241, 2, 241]
+        for book in sequence:
+            assert max_weighted_correlation(book) == self.fresh_thread_report(book)
+
+    def test_two_threads_at_two_grid_sizes_match_the_serial_reports(self):
+        # runs of one size make the threads scan grids of equal size at the same time
+        books = [*self.books(1.0, 23, 4), *self.books(0.7, 24, 4)] * 4
+        assert [len(book.grid) for book in books[:8]] == [241] * 4 + [489] * 4
+        serial = [max_weighted_correlation(book) for book in books]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between as many numpy calls as possible
+        try:
+            for workers in (2, 2, 4):
+                with ThreadPoolExecutor(workers) as pool:
+                    assert list(pool.map(max_weighted_correlation, books, timeout=60)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_stale_buffer_contents_change_no_report(self):
+        books = self.books(1.0, 25, 3)
+        reports = [max_weighted_correlation(book) for book in books]
+        for book, report in zip(books, reports):
+            products, magnitudes = correlation._scan_buffers.pair
+            products.fill(complex(np.nan, np.nan))
+            magnitudes.fill(np.nan)
+            assert max_weighted_correlation(book) == report
+
+    @pytest.mark.parametrize("resolution", [1.0, 0.25])
+    def test_a_warm_call_allocates_little_beyond_the_conjugate(self, resolution):
+        # the block products and magnitudes (24 * 64 * n bytes) go into the thread's buffers
+        (book,) = self.books(resolution, 26, 1)
+        report = max_weighted_correlation(book)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert max_weighted_correlation(book) == report
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= book.steering.nbytes + 64 * 2**10
 
 
 # ---------------------------------------------------------------- pearson

@@ -271,9 +271,14 @@ class TestInverseIteration:
         assert np.array_equal(_localize_indices(covs, steering), eigh_indices(covs, steering))
         assert np.array_equal(localize(np.zeros((12, 12)), baseline_book), baseline_book.grid[eigh_indices(covs[0], steering)])
 
-    def test_an_all_zero_stack_is_a_map(self, small_scenario):
-        stats = rmse_map(midpoint_baseline(small_scenario), small_scenario, 2, np.random.default_rng(72), powers=PowerLevels(0.0, 0.0))
-        assert np.all(np.isfinite(stats.per_point_rmse))
+    def test_a_map_of_a_target_that_sends_nothing_is_refused(self, small_scenario):
+        # with no signal power every covariance holds noise alone, so the map would measure nothing
+        deployment = midpoint_baseline(small_scenario)
+        for powers in (PowerLevels(0.0, 0.0), PowerLevels(0.0, 1.0)):
+            with pytest.raises(ValueError, match=r"powers\.signal_power must be > 0"):
+                rmse_map(deployment, small_scenario, 2, np.random.default_rng(72), powers=powers)
+            with pytest.raises(ValueError, match=r"powers\.signal_power must be > 0"):
+                rmse_maps([deployment, deployment], small_scenario, 2, np.random.default_rng(72), powers=powers)
 
     def test_a_negative_definite_matrix(self, baseline_book):
         rng = np.random.default_rng(73)

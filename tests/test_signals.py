@@ -9,6 +9,7 @@ import pytest
 
 from isacdeploy.geometry import Scenario, deployment_layout, midpoint_baseline, steering_vector
 from isacdeploy.signals import (
+    MIN_SNR_DB,
     PowerLevels,
     SnapshotWorkspace,
     complex_normal,
@@ -52,6 +53,16 @@ class TestPowers:
         for snr_db in (2890.0, 3070.0, 3082.6, 4000, np.float64(4000.0)):
             with pytest.raises(ValueError, match="snr_db must be at most 2889.9 dB"):
                 snr_to_powers(snr_db)
+
+    def test_rejects_a_level_whose_power_underflows(self):
+        # the last level above MIN_SNR_DB keeps the smallest subnormal power; below it nothing is sent
+        assert snr_to_powers(-3236.07).signal_power == 5e-324
+        assert -3236.08 < MIN_SNR_DB < -3236.07
+        for snr_db in (-3236.08, -4000, np.float64(-4000.0), -1e300):
+            with pytest.raises(ValueError, match=r"snr_db must be above about -3236.1 dB \(a lower power underflows to 0\)"):
+                snr_to_powers(snr_db)
+        with pytest.raises(ValueError, match="snr_db must be above"):
+            Scenario(snr_db=-4000)
 
     def test_power_levels_reject_negative(self):
         with pytest.raises(ValueError):
