@@ -11,9 +11,9 @@ between the rank-one covariance contributions of two unit steering vectors)
 and the overlap/residual decomposition that underlies the localization error
 analysis.
 
-The worst-pair scan writes its blocks into one pair of flat buffers per thread
-(BLOCK_ROWS * n complex and float), built on the thread's first call and kept
-until the grid size n changes, so repeated calls fault in no fresh pages.
+The weight slabs are 0 at every j <= i, so the worst-pair scan masks nothing.
+Its blocks go into one pair of flat buffers per thread (BLOCK_ROWS * n complex
+and float), kept until n changes, so repeated calls fault in no fresh pages.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ fastest at both the 1 m (n = 241) and the 0.25 m (n = 3761) reference grids.
 Each thread that scans keeps 24 * BLOCK_ROWS * n bytes of block buffers: 0.37 MB
 at 1 m, 5.8 MB at 0.25 m and 15.4 MB at `geometry.MAX_GRID_POINTS`."""
 
-_ON_OR_BELOW_DIAGONAL = np.tri(BLOCK_ROWS, dtype=bool)
 _scan_buffers = threading.local()
 
 
@@ -47,9 +46,9 @@ class GridCodebook:
 
     grid: (n, 2) coverage-grid points.
     steering: (N*J, n) unit-norm steering columns, one per grid point.
-    weight_slabs: d_ij^alpha over the upper triangle, packed in the blocks of
-        the worst-pair scan (see `weight_slabs`); about n(n + 64)/2 * 8 bytes
-        instead of n^2 * 8 for the full symmetric matrix.
+    weight_slabs: d_ij^alpha over the pairs j > i and 0 at every j <= i,
+        packed in the blocks of the worst-pair scan (see `weight_slabs`); about
+        n(n + 64)/2 * 8 bytes instead of n^2 * 8 for the full symmetric matrix.
     """
 
     grid: np.ndarray
@@ -74,22 +73,22 @@ class CorrelationReport:
 
 
 def _slab(points: np.ndarray, i0: int, alpha: float) -> np.ndarray:
-    """Rows [i0, i1) x columns [i0, n) of d_ij^alpha, diagonal zeroed."""
+    """Rows [i0, i1) x columns [i0, n) of d_ij^alpha, zeroed at every j <= i."""
     i1 = min(i0 + BLOCK_ROWS, len(points) - 1)
     rows = points[i0:i1]
     slab = np.hypot(rows[:, 0:1] - points[i0:, 0], rows[:, 1:2] - points[i0:, 1])
     slab **= alpha
-    np.fill_diagonal(slab, 0.0)
+    slab[:, : i1 - i0][np.tri(i1 - i0, dtype=bool)] = 0.0
     return slab
 
 
 def weight_slabs(points, alpha: float) -> tuple[np.ndarray, ...]:
     """Pair weights d_ij^alpha over the upper triangle, one slab per scan block.
 
-    Slab b holds rows [i0, i1) x columns [i0, n) of the symmetric weight
-    matrix, with i0 = BLOCK_ROWS * b and i1 = min(i0 + BLOCK_ROWS, n - 1), and
-    a zeroed diagonal: exactly the part `max_weighted_correlation` reads. The
-    last grid row has no pair j > i, so no slab holds it; n < 2 gives none.
+    Slab b holds rows [i0, i1) x columns [i0, n) of np.triu(full, 1), the
+    weight matrix zeroed at every j <= i, with i0 = BLOCK_ROWS * b and
+    i1 = min(i0 + BLOCK_ROWS, n - 1): exactly what `max_weighted_correlation`
+    reads. The last grid row has no pair j > i, so no slab holds it.
     """
     real_in("alpha", alpha, 0.0)
     points = np.asarray(points, dtype=float)
@@ -146,11 +145,11 @@ def max_weighted_correlation(codebook: GridCodebook) -> CorrelationReport:
     """Worst (largest) weighted correlation over all unordered grid pairs.
 
     Ties resolve to the lexicographically first (i, j) pair, so the report is
-    deterministic for a given codebook. The strict upper triangle is scored
-    `BLOCK_ROWS` rows at a time, so memory stays O(BLOCK_ROWS * n): each block
-    keeps its row-major first maximum, and a later block replaces the running
-    best only when strictly larger. A warm call allocates little beyond
-    `steering.conj()`: its blocks go into this thread's scan buffers.
+    deterministic for a given codebook. The slabs are 0 at every j <= i, so the
+    scan masks nothing: it scores `BLOCK_ROWS` rows at a time (O(BLOCK_ROWS * n)
+    memory), each block keeps its row-major first maximum, and a later block
+    replaces the best, from 0 at (0, 1), only when strictly larger. A warm call
+    allocates little beyond `steering.conj()`: its blocks reuse thread buffers.
     """
     steering = codebook.steering
     n = steering.shape[1]
@@ -161,14 +160,12 @@ def max_weighted_correlation(codebook: GridCodebook) -> CorrelationReport:
         buffers = _scan_buffers.pair = (np.empty(BLOCK_ROWS * n, complex), np.empty(BLOCK_ROWS * n))
     products, magnitudes = buffers
     conj_rows = steering.conj().T
-    best_value, best_pair = -1.0, (0, 1)
+    best_value, best_pair = 0.0, (0, 1)
     for i0, slab in zip(range(0, n - 1, BLOCK_ROWS), codebook.weight_slabs, strict=True):
         i1 = i0 + len(slab)
         block = np.matmul(conj_rows[i0:i1], steering[:, i0:], out=products[: slab.size].reshape(slab.shape))
         values = np.abs(block, out=magnitudes[: slab.size].reshape(slab.shape))
         values *= slab
-        # local column c is grid point i0 + c: mask the pairs with j <= i
-        values[:, : i1 - i0][_ON_OR_BELOW_DIAGONAL[: i1 - i0, : i1 - i0]] = -1.0
         r, c = np.unravel_index(int(np.argmax(values)), values.shape)
         if values[r, c] > best_value:
             best_value, best_pair = float(values[r, c]), (i0 + int(r), i0 + int(c))

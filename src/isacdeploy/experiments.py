@@ -198,10 +198,10 @@ def run_alpha_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBund
     scenario, settings = config.scenario, config.experiment
     ensemble = _random_ensemble(scenario, settings)
     rmses = [stats.max_rmse for stats in _rmse_stats(ensemble, scenario, settings, threads)]
-    gamma_by_alpha = {
-        alpha: pearson([_max_rho(dep, replace(scenario, alpha=alpha)) for dep in ensemble], rmses)
-        for alpha in settings.alpha_values
-    }
+    gamma_by_alpha = {}
+    for alpha in settings.alpha_values:
+        weighted = replace(scenario, alpha=alpha)
+        gamma_by_alpha[alpha] = pearson([_max_rho(dep, weighted) for dep in ensemble], rmses)
     peak_alpha = max(gamma_by_alpha, key=gamma_by_alpha.get)
     summary = {
         "deployment_count": len(ensemble),

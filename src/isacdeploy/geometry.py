@@ -41,15 +41,15 @@ REGION_TOLERANCE = 1e-9
 """Relative slack on the region radius in `deployment_violations`, for round-off."""
 
 COORDINATE_RESOLUTION = 1e-6
-"""Largest float spacing (`math.ulp`) of the region's coordinates that a
-region center may bring, as a fraction of the scenario's smallest length
+"""Largest float spacing (`math.ulp`) of the region's coordinates, up to
+|center| + radius, as a fraction of the scenario's smallest length
 (element spacing or grid resolution); a coordinate rounded by that much moves
 a half-wavelength element's phase by at most pi * 1e-6 rad. The reference
 scenario (0.0625 m spacing) takes centers below 5.3e8 m, and a 1e7 m
 (UTM-scale) center passes up to an 80 GHz carrier. A 4 m desk run's best
 fitness moves by 1e-9 at a 1e8 m center and 6e-8 at 5e8 m; near 1e15 m
-antennas fall on grid points. A region at the origin is never refused: it is
-as fine as its radius allows."""
+antennas fall on grid points. The radius counts alone too: at the origin the
+reference scenario takes radii below 5.3e8 m."""
 
 
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
@@ -140,9 +140,12 @@ class Scenario:
         real_in("element_spacing", self.element_spacing, 0.0, above=True)
         extent = max(abs(center[0]), abs(center[1])) + self.region_radius
         smallest = min(self.element_spacing, self.grid_resolution)
-        if math.ulp(extent) > max(math.ulp(self.region_radius), COORDINATE_RESOLUTION * smallest):
+        if math.ulp(extent) > COORDINATE_RESOLUTION * smallest:
+            cause = f"region_center {center} is too far from the origin"
+            if math.ulp(self.region_radius) > COORDINATE_RESOLUTION * smallest:
+                cause = f"region_radius {self.region_radius:.6g} is too large"
             raise ValueError(
-                f"region_center {center} is too far from the origin: coordinates up to {extent:.6g} m are "
+                f"{cause}: coordinates up to {extent:.6g} m are "
                 f"resolved only to {math.ulp(extent):.3g} m, above COORDINATE_RESOLUTION = {COORDINATE_RESOLUTION:g} "
                 f"of the {smallest:.3g} m element spacing or grid resolution"
             )

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (run directories and exit codes)."""
 
+import hashlib
 import json
 
 import pytest
@@ -480,6 +481,16 @@ class TestBadInputs:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_a_radius_that_a_float_cannot_resolve_exits_two(self, tmp_path, refuse_runs, capsys):
+        # a float spaces coordinates near 1e17 m by 16 m: every node's elements would round onto one point
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**DESK_CONFIG, "scenario": {"region_radius": 1e17, "grid_resolution": 1e16}}))
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "scenario.region_radius 1e+17 is too large: coordinates up to 1e+17 m are resolved only to 16 m" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_an_overflowing_sweep_alpha_exits_two(self, tmp_path, refuse_runs, capsys):
         path = tmp_path / "config.json"
         experiment = {**DESK_CONFIG["experiment"], "alpha_values": [0.05, 400]}
@@ -586,3 +597,66 @@ class TestBadInputs:
         assert err.startswith("error: scenario.region_center ") and err.count("\n") == 1
         assert "too far from the origin" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestGoldenArtifacts:
+    """The files that the six desk subcommands of acceptance criterion 12 write
+    at --threads 1, pinned by sha256: a change to any result shows here.
+    `summary.json` is hashed without its `wall_time_seconds` line."""
+
+    EXTRAS = {
+        "optimize": {},
+        "montecarlo": {},
+        "alpha-sweep": {"alpha_values": [0.01, 0.05, 0.2], "random_deployment_count": 12, "trials_per_point": 4},
+        "snr-sweep": {"snr_values_db": [-10.0, 20.0]},
+        "node-sweep": {"node_counts": [2, 3]},
+        "evaluate": {},
+    }
+    DIGESTS = {
+        "optimize/config-echo.json": "c16c1712da79a9c65befb69c68b83071facebb860e6d1f39bba760aab6360714",
+        "optimize/convergence.csv": "8667d512fc1cfcf149fc1a1850ebd02ff2072c6b6624bb11f25c912fab7f7ef6",
+        "optimize/deployment-optimized.json": "8bedf584dee5bd0f1cb9d46de7096c39bd7120e3690f25ae32f805421947fa59",
+        "optimize/summary.json": "da29601adbe312931e646711b4f05546b40eed0548480d582c6d6a4565262625",
+        "montecarlo/config-echo.json": "d73755350b21b2fc2edc7258a064d3cfad06af85bfe539e39fe4f14c411d271a",
+        "montecarlo/deployment-midpoint.json": "4dedf8b9ef9bdd9b331c37717452578b2de35ddff4fa2828ce789b991083d668",
+        "montecarlo/deployment-optimized.json": "8bedf584dee5bd0f1cb9d46de7096c39bd7120e3690f25ae32f805421947fa59",
+        "montecarlo/scatter.csv": "dc8e43e86230b517d300611148f89eb398bc666991224b48ee1d397cc3c56f31",
+        "montecarlo/summary.json": "eb8ce4de7f581d2ad088166ff2ae8887572aaec4d8c0c4391314bef8c9ef73ba",
+        "alpha-sweep/config-echo.json": "b37c3a6a3d379d15cc87982cb612e87768388154359d68a0f9bfcf7f6991a792",
+        "alpha-sweep/gamma.csv": "8b501e1310030ab426b818e84915945f16f5af4a5a34ae3c5ef48c76fb5642af",
+        "alpha-sweep/summary.json": "2875de0bd24c8bd19271c05391f1bec13fff2f0ecd9a6559d549a61ecb3b16ba",
+        "snr-sweep/config-echo.json": "7e90b225bdad39731e28640eccb8278c06f09c3ca8aabf79114690d89e33e46c",
+        "snr-sweep/deployment-midpoint.json": "4dedf8b9ef9bdd9b331c37717452578b2de35ddff4fa2828ce789b991083d668",
+        "snr-sweep/deployment-optimized.json": "8bedf584dee5bd0f1cb9d46de7096c39bd7120e3690f25ae32f805421947fa59",
+        "snr-sweep/snr.csv": "378fd347c5b7113893cdc886f057af763c2bab8909fd76aaa1d923032428b963",
+        "snr-sweep/summary.json": "2d08cc35faf016c075878520e0d80bebf55cee604ce6bed4ec9f72be4fc9f2f4",
+        "node-sweep/config-echo.json": "85ab27d5cd9df8cd82c3c167a26df3bf782540bbcb6fa6f06f5508132ede84e6",
+        "node-sweep/deployment-optimized-j2.json": "b6bff4546b0a4bc8e8bf098d7f71c1765f2f7a23cdc381298951ee39295a097a",
+        "node-sweep/deployment-optimized-j3.json": "2df9054d99bd0067c6236886043abf70a203bc109ef9a33436b3c7fdc655c1d6",
+        "node-sweep/node_stats.csv": "5a533c86028fa0d1483a4960b3d628c142349fe97372bd6a7919eec251f048ba",
+        "node-sweep/summary.json": "7f85d94515b37f0bfdc612d89f0e3cca98bf64f714dc20aceeeff76caa49a8e4",
+        "evaluate/config-echo.json": "88f0feee29e3ad2b65a8c3100c97adce3d8c537cbd63b48b0da76487f784b5b4",
+        "evaluate/evaluation.csv": "1d1d1e8bc7524e869f931dee68ea47f369d801fdbd2ab68d0d5262bd310de684",
+        "evaluate/summary.json": "adf0cfea78ec7aa516fe237c3c4e0271f64c205d9d72dac9aa371db8f23ea551",
+    }
+
+    @classmethod
+    def digests(cls, tmp_path):
+        deployment = tmp_path / "deployment.json"
+        deployment.write_text(json.dumps(deployment_to_dict(midpoint_baseline(Scenario(region_radius=4.0)))))
+        found = {}
+        for command, extra in cls.EXTRAS.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps({**DESK_CONFIG, "experiment": {**DESK_CONFIG["experiment"], **extra}}))
+            out_dir = tmp_path / command
+            argv = [command, "--config", str(path), "--out", str(out_dir), "--threads", "1"]
+            assert main(argv + ([str(deployment)] if command == "evaluate" else [])) == 0, command
+            for artifact in sorted(out_dir.iterdir()):
+                data = artifact.read_bytes()
+                if artifact.name == "summary.json":
+                    data = b"".join(line for line in data.splitlines(True) if b'"wall_time_seconds"' not in line)
+                found[f"{command}/{artifact.name}"] = hashlib.sha256(data).hexdigest()
+        return found
+
+    def test_every_artifact_is_byte_identical(self, tmp_path):
+        assert self.digests(tmp_path) == self.DIGESTS

@@ -79,9 +79,30 @@ def full_weights(points, alpha):
 
 
 def slices(full):
-    """The scan's block slabs full[i0:i1, i0:] of a full weight matrix."""
+    """The scan's block slabs upper[i0:i1, i0:] of upper = np.triu(full, 1)."""
     n = len(full)
-    return tuple(full[i0 : min(i0 + BLOCK_ROWS, n - 1), i0:] for i0 in range(0, n - 1, BLOCK_ROWS))
+    upper = np.triu(full, 1)
+    return tuple(upper[i0 : min(i0 + BLOCK_ROWS, n - 1), i0:] for i0 in range(0, n - 1, BLOCK_ROWS))
+
+
+def masked_scan_oracle(book, alpha):
+    """Reference scan over blocks of the full symmetric weights, each block
+    masked with a -1 sentinel on and below its diagonal, then its first argmax."""
+    steering, points = book.steering, book.grid
+    n = len(points)
+    conj_rows = steering.conj().T
+    best_value, best_pair = -1.0, (0, 1)
+    for i0 in range(0, n - 1, BLOCK_ROWS):
+        i1 = min(i0 + BLOCK_ROWS, n - 1)
+        rows = points[i0:i1]
+        weights = np.hypot(rows[:, 0:1] - points[i0:, 0], rows[:, 1:2] - points[i0:, 1])
+        weights **= alpha
+        values = np.abs(np.matmul(conj_rows[i0:i1], steering[:, i0:])) * weights
+        values[:, : i1 - i0][np.tri(i1 - i0, dtype=bool)] = -1.0
+        r, c = np.unravel_index(int(np.argmax(values)), values.shape)
+        if values[r, c] > best_value:
+            best_value, best_pair = float(values[r, c]), (i0 + int(r), i0 + int(c))
+    return CorrelationReport(max_value=best_value, arg_pair=best_pair)
 
 
 def slab_weight(book, i, j):
@@ -110,9 +131,10 @@ class TestCodebook:
         dep = random_deployment(small_scenario, np.random.default_rng(2))
         book = build_codebook(dep, small_scenario)
         for slab in book.weight_slabs:
-            assert np.array_equal(np.diag(slab), np.zeros(len(slab)))
-            # the block's own square is the symmetric sub-matrix of its rows
-            assert np.array_equal(slab[:, : len(slab)], slab[:, : len(slab)].T)
+            # the block's own square holds only its pairs j > i: zero on and below the diagonal
+            square = slab[:, : len(slab)]
+            assert np.array_equal(np.tril(square), np.zeros_like(square))
+            assert np.all(square[np.triu_indices(len(slab), 1)] > 0.0)
 
     def test_weight_for_five_meter_pair(self, small_scenario):
         dep = random_deployment(small_scenario, np.random.default_rng(3))
@@ -270,6 +292,29 @@ class TestMaxWeightedCorrelation:
                 report = max_weighted_correlation(book)
                 assert report.max_value == values[k]
                 assert report.arg_pair == (rows[k], cols[k])
+
+    @pytest.mark.parametrize(
+        "scenario, layouts",
+        [
+            (Scenario(), 6),
+            (Scenario(grid_resolution=0.3, alpha=0.37), 2),
+            (Scenario(alpha=0.0), 3),
+            # the closest pairs' weights, 0.05^alpha, are subnormal at alpha = 240 and 0 at 300
+            (Scenario(region_radius=0.5, grid_resolution=0.05, alpha=240.0), 3),
+            (Scenario(region_radius=0.5, grid_resolution=0.05, alpha=300.0), 3),
+        ],
+    )
+    def test_matches_the_masked_scan_bit_for_bit(self, scenario, layouts):
+        rng = np.random.default_rng(25)
+        for _ in range(layouts):
+            book = build_codebook(random_deployment(scenario, rng), scenario)
+            report = max_weighted_correlation(book)
+            oracle = masked_scan_oracle(book, scenario.alpha)
+            assert report.max_value.hex() == oracle.max_value.hex()
+            assert report.arg_pair == oracle.arg_pair
+        smallest = min(slab[np.triu_indices(len(slab), 1, slab.shape[1])].min() for slab in book.weight_slabs)
+        assert (smallest < np.finfo(float).tiny) == (scenario.alpha >= 240.0)
+        assert (smallest == 0.0) == (scenario.alpha == 300.0)
 
     @pytest.mark.parametrize("first, second", [((3, 10), (BLOCK_ROWS + 5, 100)), ((3, 100), (5, 6))])
     def test_ties_resolve_to_the_lexicographically_first_pair(self, first, second):
@@ -580,12 +625,11 @@ class TestOverlapDecompose:
 
 
 def mirrored(slabs, n):
-    """The full symmetric (n, n) matrix held by the upper-triangle slabs."""
+    """The full symmetric (n, n) matrix w + w.T held by the strict-upper slabs w."""
     weights = np.zeros((n, n))
     for i0, slab in zip(range(0, n - 1, BLOCK_ROWS), slabs, strict=True):
         weights[i0 : i0 + len(slab), i0:] = slab
-        weights[i0:, i0 : i0 + len(slab)] = slab.T
-    return weights
+    return weights + weights.T
 
 
 class TestDistanceHelpers:

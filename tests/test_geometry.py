@@ -192,10 +192,23 @@ class TestScenario:
         for center in ((1e10, 0.0), (0.0, -1e15), (1e17, 1.0)):
             with pytest.raises(ValueError, match=r"^region_center .* too far from the origin"):
                 Scenario(region_center=center)
-        # the grid counts too, and a region at the origin is never refused
+        # the grid counts too
         with pytest.raises(ValueError, match="region_center"):
             Scenario(region_center=(1e7, 0.0), grid_resolution=1e-3, region_radius=0.01)
-        assert Scenario(carrier_frequency=1e300).region_center == (0.0, 0.0)
+
+    def test_region_radius_must_keep_coordinates_resolved(self):
+        # the radius alone counts too, at the origin: a float spaces 5e8 m by 6e-8 m, 1e17 m by 16 m
+        assert Scenario(region_radius=5e8, grid_resolution=1e8).region_radius == 5e8
+        for kwargs in (
+            {"region_radius": 1e17, "grid_resolution": 1e16},
+            {"region_radius": 6e8, "grid_resolution": 1e8},
+            {"carrier_frequency": 1e300},  # a 1.5e-292 m element spacing
+        ):
+            with pytest.raises(ValueError, match=r"^region_radius .* is too large: coordinates up to"):
+                Scenario(**kwargs)
+        # a center that is too far alone is named as the center
+        with pytest.raises(ValueError, match=r"^region_center .* too far from the origin"):
+            Scenario(region_center=(1e10, 0.0), region_radius=1e7, grid_resolution=1e6)
 
     def test_alpha_stops_where_the_largest_pair_weight_overflows(self):
         # (2 * radius)^alpha: 8^alpha at 4 m overflows above 341.33, 17.32^alpha at the reference radius above 248.88
