@@ -3,13 +3,14 @@
 One subcommand per experiment kind. Every run writes a self-contained output
 directory: `config-echo.json` (the fully resolved configuration), one CSV per
 result table, one JSON file per saved deployment, and `summary.json` (headline
-numbers, run-check results, wall time). Reruns with the same config and seed
-reproduce every artifact byte for byte except the wall time, which lives only
-in `summary.json`.
+numbers, run-check results, wall time). On one machine and numpy/BLAS build,
+reruns with the same config and seed reproduce every artifact byte for byte
+except the wall time.
 
-Exit status: 0 when all run checks pass, 1 when the run completed but a check
-failed (a `failure-report.json` names the offenders), 2 for unusable input
-(bad config, bad deployment file, bad options).
+Exit status: 0 when all run checks pass; 1 when every artifact was written but
+a check failed (a `failure-report.json` names the offenders); 2 for unusable
+input (bad config, bad deployment file, bad options). An undefined Pearson
+gamma is no error: it is null in `summary.json` and `nan` in a CSV.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .config import (
     parse_config,
     with_seed,
 )
-from .correlation import UndefinedCorrelationError
 from .experiments import InfeasibleDeploymentError, Table, run_experiment
 from .geometry import DegenerateGeometryError
 from .validation import integer_at_least
@@ -127,10 +127,6 @@ def main(argv=None) -> int:
     except (InfeasibleDeploymentError, DegenerateGeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UndefinedCorrelationError as exc:
-        _write_json(out_dir / "failure-report.json", {"error": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     wall_time = time.perf_counter() - started
 
     _write_json(out_dir / "config-echo.json", config_to_dict(config))

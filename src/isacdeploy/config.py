@@ -32,9 +32,9 @@ class ConfigError(ValueError):
 class ExperimentSettings:
     """What to run and at what scale.
 
-    The ensemble defaults are desk-scale (200 random deployments, 50 Monte
-    Carlo trials per grid point); larger studies raise them via config.
-    `music` toggles Monte Carlo localization where it is optional.
+    Ensemble defaults are desk-scale (200 random deployments, 50 trials per
+    grid point). `music` gates the Monte Carlo of montecarlo, node-sweep and
+    evaluate; alpha-sweep and snr-sweep always run it, optimize never does.
     """
 
     kind: str

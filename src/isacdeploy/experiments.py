@@ -4,12 +4,12 @@ evaluation. Each returns a ResultBundle: a JSON-ready summary, named tables
 for CSV emission, any deployments worth persisting, and the pass/fail run
 checks that gate the process exit code.
 
-The drivers share four helpers. `_deployments` builds the placements a
-comparison needs: the named ones ("optimized" from one GA run and, for
-three-node scenarios, the "midpoint" baseline) and the random ensemble.
-`_spread` gives an ensemble's best/mean/worst, `_max_rho`/`_worst_pair` and
-`_rmse_stats` (one `rmse_maps` call per ensemble) give the two metrics, and
-`_bundle` puts `kind` and `seed` first in every summary.
+Every driver scores through the same helpers. `_deployments` builds the named
+placements ("optimized" from one GA run and, for three-node scenarios, the
+"midpoint" baseline) and the random ensemble; `_max_rhos` gives each one's max
+rho and `_maps` its Monte Carlo map (one `rmse_maps` call per ensemble and
+level). `_gamma` is their Pearson gamma, None where a column is constant;
+`_spread` gives best/mean/worst, and `_bundle` puts `kind` and `seed` first.
 
 Seed scheme: every stochastic ingredient derives an independent generator
 from the master seed plus a fixed integer key path - (0, ...) for GA runs,
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig, ExperimentSettings
-from .correlation import CorrelationReport, build_codebook, max_weighted_correlation, pearson
+from .correlation import CorrelationReport, UndefinedCorrelationError, build_codebook, max_weighted_correlation, pearson
 from .ga import run_ga
 from .geometry import Deployment, deployment_violations, midpoint_baseline, random_deployment
 from .music import LocalizationStats, rmse_maps
@@ -82,13 +82,21 @@ def _bundle(settings: ExperimentSettings, summary: dict, tables, deployments, ch
     return ResultBundle(summary, tables, deployments, checks)
 
 
-def _max_rho(deployment, scenario) -> float:
-    return max_weighted_correlation(build_codebook(deployment, scenario)).max_value
+def _max_rhos(deployments, scenario) -> list[float]:
+    return [max_weighted_correlation(build_codebook(dep, scenario)).max_value for dep in deployments]
 
 
-def _rmse_stats(deployments, scenario, settings, threads: int) -> list[LocalizationStats]:
+def _maps(deployments, scenario, settings, threads: int) -> list[LocalizationStats]:
     rng = derived_rng(settings.seed, _NOISE_STREAM)
     return rmse_maps(deployments, scenario, settings.trials_per_point, rng, threads=threads)
+
+
+def _gamma(rhos, rmses) -> float | None:
+    """Pearson gamma, or None where a constant column leaves it undefined."""
+    try:
+        return pearson(rhos, rmses)
+    except UndefinedCorrelationError:
+        return None
 
 
 def _spread(values) -> dict[str, float]:
@@ -106,7 +114,7 @@ def _random_ensemble(scenario, settings, *key_prefix: int) -> list[Deployment]:
 def _deployments(config: ExperimentConfig, *key: int) -> tuple[dict[str, Deployment], list[Deployment]]:
     """Named deployments and the random ensemble of one scenario.
 
-    The named ones are "optimized" (the best of one GA run) and, for
+    The named ones are "optimized" (the best of one GA run) and then, for
     three-node scenarios, where it is defined, the "midpoint" baseline. `key`
     extends the GA and ensemble stream keys (node-sweep passes the node count).
     """
@@ -154,37 +162,36 @@ def run_montecarlo(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
     Every deployment gets its worst weighted correlation and, when `music` is
     on, its Monte Carlo max RMSE under common random numbers (the RMSE column
     is NaN when music is off). The midpoint baseline row exists only for
-    three-node scenarios, where that deployment is defined.
+    three-node scenarios, where that deployment is defined. An undefined gamma
+    is null, and fails `pearson_gamma_positive` (music on, >= 100 layouts).
     """
     scenario, settings = config.scenario, config.experiment
     named, ensemble = _deployments(config)
     entries = {**named, **{f"random-{k}": dep for k, dep in enumerate(ensemble)}}
     rmses = [float("nan")] * len(entries)
     if settings.music:
-        rmses = [stats.max_rmse for stats in _rmse_stats(list(entries.values()), scenario, settings, threads)]
-    rows = [(name, _max_rho(dep, scenario), rmse) for (name, dep), rmse in zip(entries.items(), rmses)]
-    rho_by_id = {name: rho for name, rho, _ in rows}
-    random_rows = rows[len(named):]
-    random_rhos = [rho for _, rho, _ in random_rows]
+        rmses = [stats.max_rmse for stats in _maps(list(entries.values()), scenario, settings, threads)]
+    rhos = _max_rhos(entries.values(), scenario)
+    random_rhos = rhos[len(named):]
     gamma = None
-    if settings.music and len(random_rows) >= 2:
-        gamma = pearson(random_rhos, [rmse for _, _, rmse in random_rows])
-    checks = {"optimized_has_lowest_max_rho": rho_by_id["optimized"] <= min(rho_by_id.values())}
-    if "midpoint" in rho_by_id:
-        checks["midpoint_row_present_once"] = [row[0] for row in rows].count("midpoint") == 1
-    if gamma is not None and len(random_rows) >= 100:
-        checks["pearson_gamma_positive"] = gamma > 0.0
+    if settings.music and len(ensemble) >= 2:
+        gamma = _gamma(random_rhos, rmses[len(named):])
+    checks = {"optimized_has_lowest_max_rho": rhos[0] <= min(rhos)}
+    if "midpoint" in named:
+        checks["midpoint_row_present_once"] = list(entries).count("midpoint") == 1
+    if settings.music and len(ensemble) >= 100:
+        checks["pearson_gamma_positive"] = gamma is not None and gamma > 0.0
     random_spread = _spread(random_rhos)
     summary = {
         "music": settings.music,
-        "optimized_max_rho": rho_by_id["optimized"],
-        "midpoint_max_rho": rho_by_id.get("midpoint"),
-        "random_deployment_count": len(random_rows),
+        "optimized_max_rho": rhos[0],
+        "midpoint_max_rho": rhos[1] if "midpoint" in named else None,
+        "random_deployment_count": len(ensemble),
         "random_min_max_rho": random_spread["best"],
         "random_mean_max_rho": random_spread["mean"],
         "pearson_gamma": gamma,
     }
-    tables = {"scatter": Table(("deployment_id", "max_rho", "max_rmse"), rows)}
+    tables = {"scatter": Table(("deployment_id", "max_rho", "max_rmse"), zip(entries, rhos, rmses))}
     return _bundle(settings, summary, tables, named, checks)
 
 
@@ -193,23 +200,25 @@ def run_alpha_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBund
 
     One fixed random ensemble is localized once (the RMSE is alpha-free);
     each alpha then reweights the same steering correlations, and the Pearson
-    coefficient between the two columns calibrates the exponent.
+    coefficient between the two columns calibrates the exponent. An undefined
+    gamma is a `nan` row that fails the check; the peak is the best defined one.
     """
     scenario, settings = config.scenario, config.experiment
     ensemble = _random_ensemble(scenario, settings)
-    rmses = [stats.max_rmse for stats in _rmse_stats(ensemble, scenario, settings, threads)]
+    rmses = [stats.max_rmse for stats in _maps(ensemble, scenario, settings, threads)]
     gamma_by_alpha = {}
     for alpha in settings.alpha_values:
-        weighted = replace(scenario, alpha=alpha)
-        gamma_by_alpha[alpha] = pearson([_max_rho(dep, weighted) for dep in ensemble], rmses)
-    peak_alpha = max(gamma_by_alpha, key=gamma_by_alpha.get)
+        gamma_by_alpha[alpha] = _gamma(_max_rhos(ensemble, replace(scenario, alpha=alpha)), rmses)
+    defined = {alpha: gamma for alpha, gamma in gamma_by_alpha.items() if gamma is not None}
+    peak_alpha = max(defined, key=defined.get, default=None)
     summary = {
         "deployment_count": len(ensemble),
         "peak_alpha": peak_alpha,
-        "peak_gamma": gamma_by_alpha[peak_alpha],
+        "peak_gamma": defined.get(peak_alpha),
     }
-    checks = {"gamma_positive_for_all_alpha": all(g > 0.0 for g in gamma_by_alpha.values())}
-    tables = {"gamma": Table(("alpha", "gamma"), gamma_by_alpha.items())}
+    checks = {"gamma_positive_for_all_alpha": all(g is not None and g > 0.0 for g in gamma_by_alpha.values())}
+    rows = [(alpha, float("nan") if gamma is None else gamma) for alpha, gamma in gamma_by_alpha.items()]
+    tables = {"gamma": Table(("alpha", "gamma"), rows)}
     return _bundle(settings, summary, tables, {}, checks)
 
 
@@ -228,27 +237,25 @@ def run_snr_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle
     scenario, settings = config.scenario, config.experiment
     named, ensemble = _deployments(config)
     rows = []
-    series: dict[str, list[LocalizationStats]] = {name: [] for name in named}
+    named_maps = []  # per level, the maps of the named deployments in `named` order
     for snr_db in settings.snr_values_db:
         at_snr = replace(scenario, snr_db=float(snr_db))
-        maps = _rmse_stats([*named.values(), *ensemble], at_snr, settings, threads)
-        for name, stats in zip(named, maps):
-            series[name].append(stats)
-            rows.append((snr_db, name, stats.max_rmse))
+        maps = _maps([*named.values(), *ensemble], at_snr, settings, threads)
+        named_maps.append(maps[:len(named)])
+        rows.extend((snr_db, name, stats.max_rmse) for name, stats in zip(named, maps))
         spread = _spread([stats.max_rmse for stats in maps[len(named):]])
         rows.extend((snr_db, f"random-{stat}", value) for stat, value in spread.items())
-    curves = {name: [stats.max_rmse for stats in by_level] for name, by_level in series.items()}
     summary = {
         "snr_values_db": list(settings.snr_values_db),
         "lowest_snr_db": min(settings.snr_values_db),
         "highest_snr_db": max(settings.snr_values_db),
     }
     checks = {}
-    if "midpoint" in curves:
+    if "midpoint" in named:
         levels = settings.snr_values_db
-        gaps = [mid - opt for mid, opt in zip(curves["midpoint"], curves["optimized"])]
+        gaps = [midpoint.max_rmse - optimized.max_rmse for optimized, midpoint in named_maps]
         high = int(np.argmax(levels))
-        midpoint_means = [float(np.mean(stats.per_point_rmse)) for stats in series["midpoint"]]
+        midpoint_means = [float(np.mean(midpoint.per_point_rmse)) for _, midpoint in named_maps]
         check = min(
             (k for k, mean in enumerate(midpoint_means) if mean < scenario.grid_resolution),
             key=levels.__getitem__,
@@ -265,9 +272,7 @@ def run_snr_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundle
             )
         else:
             summary["gap_at_check_snr"] = gaps[check]
-        checks["optimized_leq_midpoint_at_lowest_snr"] = (
-            check is not None and curves["optimized"][check] <= curves["midpoint"][check]
-        )
+        checks["optimized_leq_midpoint_at_lowest_snr"] = check is not None and gaps[check] >= 0.0
         checks["gap_narrows_with_snr"] = check is not None and gaps[check] >= gaps[high]
     tables = {"snr": Table(("snr_db", "strategy", "max_rmse"), rows)}
     return _bundle(settings, summary, tables, named, checks)
@@ -283,17 +288,17 @@ def run_node_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
     """
     scenario, settings = config.scenario, config.experiment
     rows = []
-    per_count = []
+    by_count = {}
     deployments_out = {}
     for node_count in settings.node_counts:
         at_count = replace(scenario, node_count=node_count)
         named, ensemble = _deployments(replace(config, scenario=at_count), node_count)
         optimized = deployments_out[f"optimized-j{node_count}"] = named["optimized"]
         compared = [optimized, *ensemble]
-        metrics = {"max_rho": [_max_rho(dep, at_count) for dep in compared]}
+        metrics = {"max_rho": _max_rhos(compared, at_count)}
         if settings.music:
-            metrics["max_rmse"] = [stats.max_rmse for stats in _rmse_stats(compared, at_count, settings, threads)]
-        stats = {}
+            metrics["max_rmse"] = [stats.max_rmse for stats in _maps(compared, at_count, settings, threads)]
+        stats = by_count[node_count] = {}
         for metric, (value, *ensemble_values) in metrics.items():
             spread = {"optimized": value, **_spread(ensemble_values)}
             for stat in ("optimized", "best", "worst", "mean"):
@@ -302,12 +307,10 @@ def run_node_sweep(config: ExperimentConfig, *, threads: int = 1) -> ResultBundl
             if metric == "max_rho":
                 stats["ensemble_best_max_rho"] = spread["best"]
             stats[f"ensemble_mean_{metric}"] = spread["mean"]
-        per_count.append(stats)
-    by_count = dict(zip(settings.node_counts, per_count))
     ascending = [by_count[j]["ensemble_mean_max_rho"] for j in sorted(by_count)]
     checks = {
         "optimized_leq_ensemble_best_max_rho": all(
-            stats["optimized_max_rho"] <= stats["ensemble_best_max_rho"] for stats in per_count
+            stats["optimized_max_rho"] <= stats["ensemble_best_max_rho"] for stats in by_count.values()
         ),
         "mean_max_rho_decreases_with_node_count": all(
             later < earlier for earlier, later in zip(ascending, ascending[1:])
@@ -328,7 +331,7 @@ def run_evaluate(config: ExperimentConfig, deployment: Deployment, *, threads: i
     if violations:
         raise InfeasibleDeploymentError(violations)
     report, worst_pair = _worst_pair(deployment, scenario)
-    max_rmse = _rmse_stats([deployment], scenario, settings, threads)[0].max_rmse if settings.music else None
+    max_rmse = _maps([deployment], scenario, settings, threads)[0].max_rmse if settings.music else None
     rmse_cell = float("nan") if max_rmse is None else max_rmse
     summary = {
         "music": settings.music,

@@ -7,7 +7,7 @@ import pytest
 
 from isacdeploy import cli, correlation, experiments
 from isacdeploy.cli import main
-from isacdeploy.config import deployment_to_dict
+from isacdeploy.config import config_to_dict, deployment_to_dict, parse_config
 from isacdeploy.geometry import Scenario, midpoint_baseline
 
 DESK_CONFIG = {
@@ -219,6 +219,72 @@ class TestMontecarloCommand:
         assert all(read_summary(out)["checks"].values())
         assert not (out / "failure-report.json").exists()
 
+    def test_the_gamma_check_of_100_layouts_sets_the_exit_code(self, tmp_path):
+        config = json.loads(json.dumps(DESK_CONFIG))
+        config["experiment"]["random_deployment_count"] = 100
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        code = main(["montecarlo", "--config", str(path), "--out", str(out)])
+        summary = read_summary(out)
+        positive = summary["checks"]["pearson_gamma_positive"]
+        assert positive == (summary["pearson_gamma"] > 0.0)
+        assert code == (0 if positive else 1)
+
+
+class TestUndefinedGamma:
+    """At 60 dB every random desk layout localizes without error, so the max
+    RMSE column is constant and the Pearson gamma is undefined: a run still
+    writes every artifact, and reports the gamma as null (`nan` in a CSV)."""
+
+    ARTIFACTS = [
+        "config-echo.json",
+        "deployment-midpoint.json",
+        "deployment-optimized.json",
+        "scatter.csv",
+        "summary.json",
+    ]
+
+    def write_config(self, tmp_path, random_deployment_count):
+        config = json.loads(json.dumps(DESK_CONFIG))
+        config["scenario"]["snr_db"] = 60
+        config["experiment"]["random_deployment_count"] = random_deployment_count
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_montecarlo_reports_a_null_gamma(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["montecarlo", "--config", str(self.write_config(tmp_path, 3)), "--out", str(out)]) == 0
+        assert sorted(artifact.name for artifact in out.iterdir()) == self.ARTIFACTS
+        assert {line.split(",")[2] for line in (out / "scatter.csv").read_text().splitlines()[1:]} == {"0"}
+        summary = read_summary(out)
+        assert summary["pearson_gamma"] is None
+        assert "pearson_gamma_positive" not in summary["checks"]
+
+    def test_montecarlo_of_100_layouts_fails_the_gamma_check(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["montecarlo", "--config", str(self.write_config(tmp_path, 100)), "--out", str(out)]) == 1
+        assert sorted(artifact.name for artifact in out.iterdir()) == sorted(self.ARTIFACTS + ["failure-report.json"])
+        report = json.loads((out / "failure-report.json").read_text())
+        assert report["failed_checks"] == ["pearson_gamma_positive"]
+        summary = read_summary(out)
+        assert summary["pearson_gamma"] is None
+        assert summary["checks"]["pearson_gamma_positive"] is False
+        assert "check failed: pearson_gamma_positive" in capsys.readouterr().err
+
+    def test_alpha_sweep_writes_nan_rows_and_null_peaks(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["alpha-sweep", "--config", str(self.write_config(tmp_path, 3)), "--out", str(out)]) == 1
+        lines = (out / "gamma.csv").read_text().splitlines()
+        assert lines[0] == "alpha,gamma"
+        assert [line.split(",")[1] for line in lines[1:]] == ["nan"] * 4
+        summary = read_summary(out)
+        assert summary["peak_alpha"] is None
+        assert summary["peak_gamma"] is None
+        report = json.loads((out / "failure-report.json").read_text())
+        assert report == {"failed_checks": ["gamma_positive_for_all_alpha"], "checks": summary["checks"]}
+
 
 class TestSnrSweepCommand:
     def write_config(self, tmp_path, seed, snr_values_db):
@@ -290,6 +356,14 @@ class TestEvaluateCommand:
         reference = (serial / "evaluation.csv").read_bytes()
         assert "nan" not in reference.decode()
         assert (flagged / "evaluation.csv").read_bytes() == reference
+
+    def test_without_a_config_the_reference_settings_run(self, tmp_path):
+        deployment = tmp_path / "deployment.json"
+        deployment.write_text(json.dumps(deployment_to_dict(midpoint_baseline(Scenario()))))
+        out = tmp_path / "run"
+        assert main(["evaluate", str(deployment), "--out", str(out)]) == 0
+        echo = json.loads((out / "config-echo.json").read_text())
+        assert echo == json.loads(json.dumps(config_to_dict(parse_config({}, "evaluate"))))
 
     def test_infeasible_deployment_exits_two(self, tmp_path, config_path, capsys):
         path = tmp_path / "deployment.json"

@@ -619,6 +619,8 @@ class TestOverlapDecompose:
         a = random_unit(np.random.default_rng(26), 8)
         with pytest.raises(ValueError):
             overlap_decompose(a, 3 * a)
+        with pytest.raises(ValueError, match="vectors must have equal shape"):
+            overlap_decompose(a, random_unit(np.random.default_rng(27), 12))
 
 
 # ---------------------------------------------------------------- helpers

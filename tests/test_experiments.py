@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from isacdeploy import experiments
 from isacdeploy.config import parse_config
 from isacdeploy.correlation import build_codebook, max_weighted_correlation
 from isacdeploy.experiments import (
@@ -220,6 +221,24 @@ class TestRunAlphaSweep:
 
     def test_gamma_positive_at_desk_scale(self, bundle):
         assert bundle.checks == {"gamma_positive_for_all_alpha": True}
+
+    def test_peak_is_chosen_among_the_defined_gammas(self, bundle, monkeypatch):
+        # a constant max rho column at alpha 0.05 leaves that gamma undefined
+        scored = experiments._max_rhos
+        monkeypatch.setattr(
+            experiments,
+            "_max_rhos",
+            lambda deployments, scenario: [0.5] * len(deployments)
+            if scenario.alpha == 0.05
+            else scored(deployments, scenario),
+        )
+        partial = run_alpha_sweep(desk_config("alpha-sweep", experiment=ALPHA_SWEEP_SETTINGS))
+        rows = partial.tables["gamma"].rows
+        assert math.isnan(rows[1][1])
+        assert [rows[0], rows[2]] == [bundle.tables["gamma"].rows[0], bundle.tables["gamma"].rows[2]]
+        best = max([rows[0], rows[2]], key=lambda row: row[1])
+        assert (partial.summary["peak_alpha"], partial.summary["peak_gamma"]) == best
+        assert partial.checks == {"gamma_positive_for_all_alpha": False}
 
     def test_deterministic(self, bundle):
         again = run_alpha_sweep(desk_config("alpha-sweep", experiment=ALPHA_SWEEP_SETTINGS))

@@ -430,6 +430,10 @@ class TestRunGa:
         for hits in (-1, 10):
             with pytest.raises(ValueError, match="cache_hits"):
                 GaResult(best=best, trace=np.array([1.0]), evaluations=10, cache_hits=hits)
+        with pytest.raises(ValueError, match="trace must be a non-empty 1-D array"):
+            GaResult(best=best, trace=np.array([]), evaluations=10)
+        with pytest.raises(ValueError, match="evaluations must be >= 1"):
+            GaResult(best=best, trace=np.array([1.0]), evaluations=0)
 
 
 class TestGoldenStream:

@@ -384,10 +384,17 @@ class TestSteering:
         assert mat.shape == (12, 8)
         for k, t in enumerate(targets):
             assert np.array_equal(mat[:, k], steering_vector(layout, t, s.wavelength))
+        flat = steering_matrix(layout, targets[0], s.wavelength)  # one target as a 1-D array
+        assert flat.shape == (12, 1)
+        assert np.array_equal(flat[:, 0], mat[:, 0])
 
     def test_rejects_bad_wavelength(self):
         with pytest.raises(ValueError):
             steering_vector(np.array([[0.0, 0.0]]), (1.0, 1.0), 0.0)
+
+    def test_matrix_rejects_a_layout_of_three_columns(self):
+        with pytest.raises(ValueError, match=r"layout must be a non-empty \(M, 2\) array, got shape \(4, 3\)"):
+            steering_matrix(np.ones((4, 3)), (1.0, 1.0), 0.125)
 
 
 # ---------------------------------------------------------------- coverage grid

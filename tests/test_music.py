@@ -470,6 +470,8 @@ class TestRmseMap:
         assert LocalizationStats(per_point_rmse=np.array([1.0, 2.5, 0.5]), trials_per_point=3).max_rmse == 2.5
         with pytest.raises(ValueError):
             LocalizationStats(per_point_rmse=np.array([-1.0, 2.0]), trials_per_point=3)
+        with pytest.raises(ValueError, match="per_point_rmse must be a non-empty 1-D array"):
+            LocalizationStats(per_point_rmse=np.array([]), trials_per_point=3)
 
 
 class TestRmseMaps:
