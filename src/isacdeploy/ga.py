@@ -13,6 +13,12 @@ offspring pair, two tournaments (one index block each), one crossover gate
 plus (only when the gate passes) one uniform block, then per child one
 mutation gate block and one mutation u block. A gene block is one (J, 3)
 draw, filled row by row: the same values, in the same order, as a 3J draw.
+
+No draw depends on its generation's arithmetic, so `run_ga` first takes all of
+a generation's draws in that order (each tournament runs as it is drawn), then
+runs the crossover, mutation and projection arithmetic once on the whole
+offspring block. Each of those public operators draws for one pair or child
+and calls the same arithmetic, which works on any leading shape.
 """
 
 from __future__ import annotations
@@ -35,9 +41,11 @@ from .validation import integer_at_least, real_in
 
 MAX_POPULATION_SIZE = MAX_NOISE_BLOCK_BYTES // 1024
 """Largest GA population: the 1 GiB budget of MAX_NOISE_BLOCK_BYTES at 1 KiB
-per individual. tracemalloc reads about 0.60 KB per individual of a 3-node
-population (poses, offspring and one generation's repeat lookup), 0.84 KB at
-5 nodes, in every generation; later generations add nothing."""
+per individual, which holds at the reference node count. tracemalloc (fitness
+stubbed, P = 2,002 against 6,002) reads about 0.71 KB per individual of a
+3-node population (poses, offspring, one generation's draws and operator
+temporaries, or its repeat lookup), 1.17 KB at 5 nodes, at 1 and at 4
+generations; later generations add nothing."""
 
 
 @dataclass(frozen=True)
@@ -117,16 +125,21 @@ def project_feasible(poses, scenario: Scenario) -> np.ndarray:
     outside the disk, radially scaled onto the circle; angles are wrapped to
     [0, 2*pi). Feasible poses are returned unchanged.
     """
-    out = _check_poses(poses, scenario).copy()
+    return _project(_check_poses(poses, scenario), scenario)
+
+
+def _project(poses: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """`project_feasible`'s arithmetic on a (..., J, 3) block, into a new array."""
+    out = poses.copy()
     cx, cy = scenario.region_center
     r = scenario.region_radius
-    xs = np.clip(out[:, 0], cx - r, cx + r) - cx
-    ys = np.clip(out[:, 1], cy - r, cy + r) - cy
+    xs = np.clip(out[..., 0], cx - r, cx + r) - cx
+    ys = np.clip(out[..., 1], cy - r, cy + r) - cy
     dist = np.hypot(xs, ys)
     scale = np.where(dist > r, r / np.where(dist > r, dist, 1.0), 1.0)
-    out[:, 0] = cx + xs * scale
-    out[:, 1] = cy + ys * scale
-    out[:, 2] = wrap_angle(out[:, 2])
+    out[..., 0] = cx + xs * scale
+    out[..., 1] = cy + ys * scale
+    out[..., 2] = wrap_angle(out[..., 2])
     return out
 
 
@@ -168,12 +181,21 @@ def sbx_crossover(parent_a, parent_b, eta_c: float, p_c: float, rng):
         raise ValueError(f"parents must have one shape, got {a.shape} and {b.shape}")
     if rng.random() >= p_c:
         return a, b
-    u = rng.random(a.shape)
+    return _sbx(a, b, rng.random(a.shape), eta_c)
+
+
+def _sbx(a: np.ndarray, b: np.ndarray, u: np.ndarray, eta_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """`sbx_crossover`'s arithmetic on parent blocks of any one shape, with u of that shape."""
     exponent = 1.0 / (eta_c + 1.0)
     beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 - 2.0 * u)) ** exponent)
-    child_1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
-    child_2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
-    return child_1, child_2
+    return 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b), 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
+
+
+def _mutation_box(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper gene rows: the region's bounding square and [0, 2*pi]."""
+    cx, cy = scenario.region_center
+    r = scenario.region_radius
+    return np.array([cx - r, cy - r, 0.0]), np.array([cx + r, cy + r, TWO_PI])
 
 
 def polynomial_mutation(poses, eta_m: float, p_m: float, scenario: Scenario, rng) -> np.ndarray:
@@ -192,22 +214,55 @@ def polynomial_mutation(poses, eta_m: float, p_m: float, scenario: Scenario, rng
     """
     p_m, eta_m = real_in("p_m", p_m, 0.0, 1.0), real_in("eta_m", eta_m, 0.0, above=True)
     z = _check_poses(poses, scenario)
-    cx, cy = scenario.region_center
-    r = scenario.region_radius
-    lower, upper = np.array([cx - r, cy - r, 0.0]), np.array([cx + r, cy + r, TWO_PI])
+    lower, upper = _mutation_box(scenario)
     span = upper - lower
     if np.any(z < lower - 1e-9 * span) or np.any(z > upper + 1e-9 * span):
         raise ValueError("genes must lie within the region's box before mutation")
     gates = rng.random(z.shape) < p_m
-    u = rng.random(z.shape)
-    frac_low = np.clip((z - lower) / span, 0.0, 1.0)
-    frac_high = np.clip((upper - z) / span, 0.0, 1.0)
+    return _mutate(z, gates, rng.random(z.shape), scenario, eta_m)
+
+
+def _mutate(z: np.ndarray, gates: np.ndarray, u: np.ndarray, scenario: Scenario, eta_m: float) -> np.ndarray:
+    """`polynomial_mutation`'s arithmetic on a (..., J, 3) block, for its gated
+    genes only, into a new array."""
+    lower, upper = (np.broadcast_to(bound, z.shape)[gates] for bound in _mutation_box(scenario))
+    genes, u = z[gates], u[gates]
+    span = upper - lower
+    frac_low = np.clip((genes - lower) / span, 0.0, 1.0)
+    frac_high = np.clip((upper - genes) / span, 0.0, 1.0)
     power = eta_m + 1.0
     exponent = 1.0 / power
     delta_low = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - frac_low) ** power) ** exponent - 1.0
     delta_high = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - frac_high) ** power) ** exponent
-    delta = np.where(u <= 0.5, delta_low, delta_high)
-    return np.where(gates, z + delta * span, z)
+    out = z.copy()
+    out[gates] = genes + np.where(u <= 0.5, delta_low, delta_high) * span
+    return out
+
+
+def _breed(population, fitnesses, buffers, params: GaParams, scenario: Scenario, rng, offspring) -> None:
+    """Write one generation's (pairs, 2, J, 3) offspring block. Pair by pair,
+    in the stream order, the two tournaments are run as they are drawn (so no
+    more than k indices are held at once) and the gates and u blocks go into
+    the run's buffers; then crossover, projection, mutation and projection
+    each run once on the whole block."""
+    parents, crossing, crossover_u, mutation_gates, mutation_u = buffers
+    k = params.tournament_size
+    for pair in range(len(crossing)):
+        parents[pair] = tournament_select(fitnesses, k, rng), tournament_select(fitnesses, k, rng)
+        crossing[pair] = rng.random() < params.crossover_probability
+        if crossing[pair]:
+            rng.random(out=crossover_u[pair])
+        for child in range(2):
+            np.less(rng.random(crossover_u.shape[1:]), params.mutation_probability, out=mutation_gates[pair, child])
+            rng.random(out=mutation_u[pair, child])
+    offspring[...] = population[parents]
+    if crossing.any():
+        crossed = offspring[crossing]
+        offspring[crossing, 0], offspring[crossing, 1] = _sbx(
+            crossed[:, 0], crossed[:, 1], crossover_u[crossing], params.eta_crossover
+        )
+    children = _mutate(_project(offspring, scenario), mutation_gates, mutation_u, scenario, params.eta_mutation)
+    offspring[...] = _project(children, scenario)
 
 
 def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> GaResult:
@@ -216,14 +271,26 @@ def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> Ga
     The population is one (P, J, 3) pose array with a (P,) fitness vector. Per
     generation: P - N_e offspring from tournament parents via SBX + polynomial
     mutation + feasibility projection, written into one reused block, plus the
-    N_e best incumbents carried over with their fitness. The best-fitness trace
-    has one entry per generation plus the initial population, and is
-    non-increasing by elitism. Fitness is evaluated serially, in population
-    order; results depend only on the seed. An individual whose poses repeat,
-    bit for bit, a member of its parent generation or an earlier offspring of
-    its own reuses that score; nothing older is kept.
+    N_e best incumbents carried over with their fitness. The offspring's draws
+    are taken per pair in the module's stream order; the crossover, mutation
+    and projection arithmetic then runs once per generation on the whole
+    block, bit for bit as the public operators compute it child by child. The
+    best-fitness trace has one entry per generation plus the initial
+    population, and is non-increasing by elitism. Fitness is evaluated
+    serially, in population order; results depend only on the seed. An
+    individual whose poses repeat, bit for bit, a member of its parent
+    generation or an earlier offspring of its own reuses that score; nothing
+    older is kept.
     """
-    offspring = np.empty((params.population_size - params.elite_count, scenario.node_count, 3))
+    pairs = (params.population_size - params.elite_count) // 2
+    offspring = np.empty((pairs, 2, scenario.node_count, 3))
+    buffers = (
+        np.empty((pairs, 2), dtype=np.int64),
+        np.empty(pairs, dtype=bool),
+        np.empty((pairs, scenario.node_count, 3)),
+        np.empty(offspring.shape, dtype=bool),
+        np.empty(offspring.shape),
+    )
     # generation 0 scores the initial population as the offspring of an empty one
     block = np.stack([random_deployment(scenario, rng).poses for _ in range(params.population_size)])
     population, fitnesses = block[:0], np.empty(0)
@@ -231,17 +298,8 @@ def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> Ga
 
     for generation in range(params.max_generations + 1):
         if generation:
-            for pair in range(0, len(offspring), 2):
-                first = tournament_select(fitnesses, params.tournament_size, rng)
-                second = tournament_select(fitnesses, params.tournament_size, rng)
-                children = sbx_crossover(
-                    population[first], population[second], params.eta_crossover, params.crossover_probability, rng
-                )
-                for index, child in enumerate(children, start=pair):
-                    child = project_feasible(child, scenario)
-                    child = polynomial_mutation(child, params.eta_mutation, params.mutation_probability, scenario, rng)
-                    offspring[index] = project_feasible(child, scenario)
-            block = offspring
+            _breed(population, fitnesses, buffers, params, scenario, rng, offspring)
+            block = offspring.reshape(-1, scenario.node_count, 3)
         seen = {poses.tobytes(): value for poses, value in zip(population, fitnesses)}
         calls -= len(seen)
         for poses in block:
@@ -254,7 +312,7 @@ def run_ga(scenario: Scenario, params: GaParams, rng: np.random.Generator) -> Ga
         del seen  # the lookup dies with its generation
         trace.append(float(np.min(fitnesses)))
 
-    evaluations = params.population_size + params.max_generations * len(offspring)
+    evaluations = params.population_size + params.max_generations * 2 * pairs
     return GaResult(
         best=Deployment(population[int(np.argmin(fitnesses))]),
         trace=np.asarray(trace, dtype=float),

@@ -285,6 +285,75 @@ class TestPolynomialMutation:
             polynomial_mutation(np.array([[0.5, 0.5, 1.0]]), eta_m, p_m, unit_box(), ScriptedRng())
 
 
+# ---------------------------------------------------------------- block arithmetic
+
+
+def bits(array):
+    """Bit patterns of a float array, so -0.0 and 0.0 (and NaN payloads) differ."""
+    return np.ascontiguousarray(array, dtype=float).view(np.int64)
+
+
+leading_shapes = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple)
+gate_rates = st.sampled_from([0.0, 0.2, 0.5, 1.0])
+etas = st.one_of(st.sampled_from([1.0, 15.0, 20.0]), st.floats(0.01, 100.0))
+
+
+def uniform_block(rng, shape):
+    """Uniform [0, 1) draws with the branch points 0, 1/2 and the largest u below 1 mixed in."""
+    u = rng.random(shape)
+    special = rng.random(shape) < 0.2
+    u[special] = rng.choice([0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)], size=int(special.sum()))
+    return u
+
+
+class TestBlockEqualsStack:
+    """Each operator's arithmetic on a stacked block gives, bit for bit, the
+    stack of the public operator's results child by child: the check that a
+    ufunc such as float64 `power` takes no other loop for another length or
+    stride."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(leading_shapes, st.integers(1, 5), etas, st.booleans(), st.integers(0, 2**32 - 1))
+    def test_sbx(self, lead, nodes, eta_c, interleaved, seed):
+        rng = np.random.default_rng(seed)
+        parents = rng.uniform(-5.0, 5.0, size=(*lead, 2, nodes, 3))
+        # run_ga passes the two parents as strided halves of one (pairs, 2, J, 3) block
+        a, b = parents[..., 0, :, :], parents[..., 1, :, :]
+        if not interleaved:
+            a, b = a.copy(), b.copy()
+        u = uniform_block(rng, a.shape)
+        block = ga._sbx(a, b, u, eta_c)
+        for index in np.ndindex(*lead):
+            children = sbx_crossover(a[index], b[index], eta_c, 1.0, ScriptedRng(floats=[0.0, u[index]]))
+            for child, stacked in zip(children, block):
+                assert np.array_equal(bits(child), bits(stacked[index]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(leading_shapes, st.integers(1, 5), etas, gate_rates, st.integers(0, 2**32 - 1))
+    def test_mutation(self, lead, nodes, eta_m, p_m, seed):
+        rng = np.random.default_rng(seed)
+        scenario = Scenario(region_radius=2.0, region_center=(5.0, -1.0), node_count=nodes)
+        lower, upper = np.array([3.0, -3.0, 0.0]), np.array([7.0, 1.0, TWO_PI])
+        z = lower + (upper - lower) * uniform_block(rng, (*lead, nodes, 3))
+        on_bound = rng.random(z.shape) < 0.1
+        z[on_bound] = np.where(rng.random(z.shape) < 0.5, lower, upper)[on_bound]
+        gate_u, u = rng.random(z.shape), uniform_block(rng, z.shape)
+        block = ga._mutate(z, gate_u < p_m, u, scenario, eta_m)
+        for index in np.ndindex(*lead):
+            child = polynomial_mutation(z[index], eta_m, p_m, scenario, ScriptedRng(floats=[gate_u[index], u[index]]))
+            assert np.array_equal(bits(child), bits(block[index]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(leading_shapes, st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_projection(self, lead, nodes, seed):
+        rng = np.random.default_rng(seed)
+        scenario = Scenario(region_radius=2.0, region_center=(5.0, -1.0), node_count=nodes)
+        poses = rng.uniform([0.0, -4.0, -7.0], [10.0, 2.0, 14.0], size=(*lead, nodes, 3))
+        block = ga._project(poses, scenario)
+        for index in np.ndindex(*lead):
+            assert np.array_equal(bits(project_feasible(poses[index], scenario)), bits(block[index]))
+
+
 # ---------------------------------------------------------------- fitness
 
 
@@ -488,6 +557,96 @@ class TestFitnessCache:
         assert len(calls) == 8
         assert result.evaluations == 8 + 5 * 6
         assert result.cache_hits == 5 * 6
+
+
+def per_pair_run_ga(scenario, params, rng):
+    """`run_ga` as one loop over offspring pairs, built from the public
+    operators only: each child is selected, crossed, projected, mutated and
+    projected before the next pair draws."""
+    offspring = np.empty((params.population_size - params.elite_count, scenario.node_count, 3))
+    block = np.stack([random_deployment(scenario, rng).poses for _ in range(params.population_size)])
+    population, fitnesses = block[:0], np.empty(0)
+    trace, calls = [], 0
+    for generation in range(params.max_generations + 1):
+        if generation:
+            for pair in range(0, len(offspring), 2):
+                first = tournament_select(fitnesses, params.tournament_size, rng)
+                second = tournament_select(fitnesses, params.tournament_size, rng)
+                children = sbx_crossover(
+                    population[first], population[second], params.eta_crossover, params.crossover_probability, rng
+                )
+                for index, child in enumerate(children, start=pair):
+                    child = project_feasible(child, scenario)
+                    child = polynomial_mutation(child, params.eta_mutation, params.mutation_probability, scenario, rng)
+                    offspring[index] = project_feasible(child, scenario)
+            block = offspring
+        seen = {poses.tobytes(): value for poses, value in zip(population, fitnesses)}
+        calls -= len(seen)
+        for poses in block:
+            if (key := poses.tobytes()) not in seen:
+                seen[key] = ga.fitness(poses, scenario)
+        calls += len(seen)
+        elite_order = np.argsort(fitnesses, kind="stable")[: params.elite_count]
+        population = np.concatenate([population[elite_order], block])
+        fitnesses = np.concatenate([fitnesses[elite_order], [seen[poses.tobytes()] for poses in block]])
+        trace.append(float(np.min(fitnesses)))
+    evaluations = params.population_size + params.max_generations * len(offspring)
+    return population[int(np.argmin(fitnesses))], trace, evaluations, evaluations - calls
+
+
+def oracle_case(**changes):
+    settings = {"population_size": 10, "elite_count": 2, "max_generations": 5} | changes
+    return GaParams(**settings)
+
+
+ORACLE_CASES = {
+    **{
+        f"p_c={p_c:g}, p_m={p_m:g}": (Scenario(region_radius=3.0), oracle_case(crossover_probability=p_c, mutation_probability=p_m))
+        for p_c in (0.0, 1.0)
+        for p_m in (0.0, 1.0)
+    },
+    "tournament of 1": (Scenario(region_radius=3.0), oracle_case(tournament_size=1)),
+    "tournament above P": (Scenario(region_radius=3.0), oracle_case(tournament_size=13)),
+    # a wide SBX spread puts many children outside the disk, so the projection before mutation moves them
+    "wide spread": (Scenario(region_radius=3.0), oracle_case(eta_crossover=0.5, crossover_probability=1.0)),
+    "1 node": (Scenario(region_radius=2.0, node_count=1), oracle_case()),
+    "5 nodes": (Scenario(region_radius=3.0, node_count=5), oracle_case(population_size=12, elite_count=4)),
+    "off-center region": (Scenario(region_radius=2.5, region_center=(40.0, -12.0)), oracle_case()),
+}
+
+
+class TestPerPairOracle:
+    """`run_ga` equals, bit for bit, the per-pair loop over the public
+    operators: same draws in the same order, same arithmetic. The comparison
+    is against this build's own operators, so it holds on any BLAS kernel."""
+
+    @staticmethod
+    def assert_same_run(scenario, params, seed):
+        best, trace, evaluations, cache_hits = per_pair_run_ga(scenario, params, np.random.default_rng(seed))
+        result = run_ga(scenario, params, np.random.default_rng(seed))
+        assert np.array_equal(bits(result.trace), bits(trace))
+        assert np.array_equal(bits(result.best.poses), bits(best))
+        assert (result.evaluations, result.cache_hits) == (evaluations, cache_hits)
+        return result
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_per_pair_loop(self, case):
+        scenario, params = ORACLE_CASES[case]
+        self.assert_same_run(scenario, params, seed=sum(map(ord, case)))
+
+    def test_tournaments_tie_on_inf(self, monkeypatch):
+        # a fitness under which most layouts score inf, as degenerate ones do
+        scored = []
+
+        def mostly_degenerate(poses, scenario):
+            scored.append(value := math.inf if poses[0, 2] < 4.5 else fitness(poses, scenario))
+            return value
+
+        monkeypatch.setattr(ga, "fitness", mostly_degenerate)
+        self.assert_same_run(Scenario(region_radius=3.0), oracle_case(max_generations=8), seed=17)
+        run = scored[len(scored) // 2 :]
+        # 8 of the 10 initial layouts score inf, so most first-generation tournaments are all-inf ties
+        assert run[:10].count(math.inf) == 8 and run[10:].count(math.inf) > 0
 
 
 class TestMemory:
